@@ -276,7 +276,11 @@ class CurvedAlgebra:
 
 
 def _table_to_map(obj, table, degree):
-    """Sparse column table over flat indices -> GradedMap on obj.space."""
+    """Sparse column table over flat indices -> GradedMap on obj.space.
+
+    Each block keeps the table's sparse columns, re-indexed to positions
+    within the target degree; no dense block is ever filled.
+    """
     field = obj.field
     pos = {}
     for d, idxs in obj.by_degree.items():
@@ -284,20 +288,13 @@ def _table_to_map(obj, table, degree):
             pos[i] = p
     blocks = {}
     for d, idxs in obj.by_degree.items():
-        tgt = obj.by_degree.get(d + degree, [])
+        tgt = obj.by_degree.get(d + degree)
         if not tgt:
             continue
-        m = Matrix(field, len(tgt), len(idxs))
-        hit = False
-        for c, i in enumerate(idxs):
-            col = table.get(i)
-            if not col:
-                continue
-            for k, v in col.items():
-                m.data[pos[k]][c] = v
-                hit = True
-        if hit:
-            blocks[d] = m
+        cols = [{pos[k]: v for k, v in table.get(i, {}).items()}
+                for i in idxs]
+        if any(cols):
+            blocks[d] = Matrix.from_columns(field, len(tgt), cols)
     return GradedMap(field, obj.space, obj.space, degree, blocks)
 
 

@@ -425,6 +425,8 @@ def hochschild_direct(A: CurvedAlgebra, M: CurvedModule, W: int,
     and the two end terms given by the commutator with the action map.
     Cross-checked against hochschild_via_twist term by term in the tests.
     """
+    if W < 0:
+        raise ValueError("truncation length must be >= 0")
     if M.dim == 0:
         raise ValueError("coefficient module must be non-zero")
     field = A.field

@@ -13,9 +13,8 @@ Conventions used everywhere in this package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
-
-from .linalg import Matrix, eliminate, solve, quotient_representatives
+from .linalg import (Matrix, eliminate, quotient_representatives, rank,
+                     solve)
 
 
 class GradedVectorSpace:
@@ -208,35 +207,36 @@ def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
     tgt_layout = _tensor_layout(f.target, g.target)
     tgt_pos = {n: {t: p for p, t in enumerate(lst)}
                for n, lst in tgt_layout.items()}
+    fcols = {n: m.columns() for n, m in f.blocks.items()}
+    gcols = {n: m.columns() for n, m in g.blocks.items()}
     deg = f.degree + g.degree
     blocks = {}
     for n, entries in src_layout.items():
         rows = tgt.dim(n + deg)
-        cols = len(entries)
-        if rows == 0 or cols == 0:
+        if rows == 0:
             continue
-        m = Matrix(field, rows, cols)
-        lookup = tgt_pos.get(n + deg, {})
-        for col, (i, j, pa, pb) in enumerate(entries):
-            fb = f.block(i)
-            gb = g.block(j)
-            sign = -field.one if (g.degree * i) % 2 else field.one
-            for pa2 in range(fb.rows):
-                c1 = fb.data[pa2][pa]
-                if not c1:
-                    continue
-                for pb2 in range(gb.rows):
-                    c2 = gb.data[pb2][pb]
-                    if not c2:
-                        continue
-                    row = lookup[(i + f.degree, j + g.degree, pa2, pb2)]
-                    m.data[row][col] = m.data[row][col] + sign * c1 * c2
-        blocks[n] = m
+        lookup = tgt_pos[n + deg]
+        cols = []
+        for (i, j, pa, pb) in entries:
+            col = {}
+            if i in fcols and j in gcols:
+                sign = -field.one if (g.degree * i) % 2 else field.one
+                for pa2, c1 in fcols[i][pa].items():
+                    for pb2, c2 in gcols[j][pb].items():
+                        row = lookup[(i + f.degree, j + g.degree, pa2, pb2)]
+                        col[row] = sign * c1 * c2
+            cols.append(col)
+        blocks[n] = Matrix.from_columns(field, rows, cols)
     return GradedMap(field, src, tgt, deg, blocks)
 
 
 class Complex:
-    """Graded space with a degree +1 differential squaring to zero."""
+    """Graded space with a degree +1 differential squaring to zero.
+
+    d o d is computed in full when the complex is built, block by block
+    from the sparse columns of d, so the check touches nonzero entries only
+    and still misses none.
+    """
 
     __slots__ = ("field", "space", "d")
 
@@ -257,11 +257,6 @@ class Complex:
         return f"Complex({self.space!r})"
 
 
-def zero_complex(field) -> Complex:
-    V = GradedVectorSpace({})
-    return Complex(field, V, GradedMap.zero(field, V, V, 1))
-
-
 def tensor_complex(C: Complex, D: Complex) -> Complex:
     V = tensor(C.space, D.space)
     idC = GradedMap.identity(C.field, C.space)
@@ -275,6 +270,9 @@ def hom_complex(C: Complex, D: Complex) -> Complex:
     field = C.field
     V, W = C.space, D.space
     H = hom(V, W)
+    dD = {n: m.columns() for n, m in D.d.blocks.items()}
+    # rows of d_C: pre-composing e_{b<-a} with d_C reads row a of d_C
+    dC_rows = {n: m.transpose().columns() for n, m in C.d.blocks.items()}
 
     def h_layout(n):
         out = []
@@ -288,28 +286,23 @@ def hom_complex(C: Complex, D: Complex) -> Complex:
     for n in H.degrees:
         src_entries = h_layout(n)
         tgt_entries = h_layout(n + 1)
-        tgt_pos = {t: p for p, t in enumerate(tgt_entries)}
-        rows, cols = len(tgt_entries), len(src_entries)
-        if rows == 0 or cols == 0:
+        if not tgt_entries:
             continue
-        m = Matrix(field, rows, cols)
+        tgt_pos = {t: p for p, t in enumerate(tgt_entries)}
         sgn = -field.one if n % 2 else field.one
-        for col, (j, pa, pb) in enumerate(src_entries):
+        cols = []
+        for (j, pa, pb) in src_entries:
+            col = {}
             # post-compose with d_D: e_{b<-a} at j goes to (d b)<-a.
-            db = D.d.block(j + n)
-            for pb2 in range(db.rows):
-                c = db.data[pb2][pb]
-                if c:
-                    row = tgt_pos[(j, pa, pb2)]
-                    m.data[row][col] = m.data[row][col] + c
+            if j + n in dD:
+                for pb2, c in dD[j + n][pb].items():
+                    col[tgt_pos[(j, pa, pb2)]] = c
             # pre-compose with d_C: contributions from V_{j-1}.
-            dc = C.d.block(j - 1)
-            for pa2 in range(dc.cols):
-                c = dc.data[pa][pa2] if dc.rows > pa else field.zero
-                if c:
-                    row = tgt_pos[(j - 1, pa2, pb)]
-                    m.data[row][col] = m.data[row][col] - sgn * c
-        blocks[n] = m
+            if j - 1 in dC_rows:
+                for pa2, c in dC_rows[j - 1][pa].items():
+                    col[tgt_pos[(j - 1, pa2, pb)]] = -sgn * c
+            cols.append(col)
+        blocks[n] = Matrix.from_columns(field, len(tgt_entries), cols)
     return Complex(field, H, GradedMap(field, H, H, 1, blocks))
 
 
@@ -317,18 +310,50 @@ def dual_complex(C: Complex) -> Complex:
     return Complex(C.field, dual(C.space), dual_map(C.d))
 
 
-@dataclass
 class Cohomology:
-    betti: int
-    representatives: list = dfield(default_factory=list)
+    """H^n of a complex: its dimension, and representative cocycles.
+
+    The representatives extend a basis of im d^{n-1} to one of ker d^n
+    with the first-pivot convention; they are computed on first access.
+    """
+
+    __slots__ = ("betti", "_complex", "_degree", "_representatives")
+
+    def __init__(self, betti, C, n):
+        self.betti = betti
+        self._complex = C
+        self._degree = n
+        self._representatives = None
+
+    @property
+    def representatives(self):
+        if self._representatives is None:
+            C, n = self._complex, self._degree
+            _, kernel, _ = eliminate(C.d.block(n))
+            _, _, image = eliminate(C.d.block(n - 1))
+            reps = quotient_representatives(image, kernel, C.field,
+                                            C.space.dim(n))
+            if len(reps) != self.betti:
+                raise AssertionError(f"H^{n}: {len(reps)} representatives "
+                                     f"for dimension {self.betti}")
+            self._representatives = reps
+        return self._representatives
+
+    def __repr__(self):
+        return f"Cohomology(degree={self._degree}, betti={self.betti})"
 
 
 def cohomology(C: Complex, window=None):
-    """Betti numbers with explicit representative cocycles.
+    """Betti numbers, with representative cocycles on demand.
 
     window is an inclusive (lo, hi) degree interval; default is the full
-    support of the complex.  Representatives follow the first-pivot
-    convention, so output is deterministic.
+    support of the complex.  Each block of d is eliminated once per call,
+    for its rank only, and the rank serves both degrees it touches:
+    betti_n = dim C^n - rank d^n - rank d^{n-1}.  Elimination runs on the
+    sparse columns of the blocks (`linalg.ColumnEchelon`), exactly.
+    Representatives follow the first-pivot convention, so output is
+    deterministic; they cost a kernel and an image, and are computed only
+    when a caller reads them.
     """
     degrees = C.space.degrees
     if window is None:
@@ -336,15 +361,9 @@ def cohomology(C: Complex, window=None):
             return {}
         window = (degrees[0], degrees[-1])
     lo, hi = window
-    out = {}
-    for n in range(lo, hi + 1):
-        dn = C.d.block(n)
-        _, kernel, _ = eliminate(dn)
-        dprev = C.d.block(n - 1)
-        _, _, image = eliminate(dprev)
-        reps = quotient_representatives(image, kernel, C.field, C.space.dim(n))
-        out[n] = Cohomology(betti=len(reps), representatives=reps)
-    return out
+    ranks = {n: rank(C.d.block(n)) for n in range(lo - 1, hi + 1)}
+    return {n: Cohomology(C.space.dim(n) - ranks[n] - ranks[n - 1], C, n)
+            for n in range(lo, hi + 1)}
 
 
 def is_chain_map(f: GradedMap, C: Complex, D: Complex) -> bool:
@@ -440,7 +459,3 @@ def truncate_complex(C: Complex, n: int, m: int) -> Complex:
         blocks[i] = Matrix.from_cols(field, cols, rows_hint=tgt_dim)
     d = GradedMap(field, space, space, 1, blocks)
     return Complex(field, space, d)
-
-
-def map_from_blocks(field, source, target, degree, blocks) -> GradedMap:
-    return GradedMap(field, source, target, degree, blocks)

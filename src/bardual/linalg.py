@@ -1,27 +1,53 @@
-"""Dense exact linear algebra: elimination, rank, kernel/image bases, solving.
+"""Exact sparse linear algebra: rank, kernel/image bases and solving, all
+answered by one column elimination.
 
-Matrices are dense and row-major over one of the fields in `fields`.
-All pivoting is first-nonzero ("first-pivot convention") so every answer
-is deterministic given the input.
+A `Matrix` is held either as sparse columns -- dicts {row: coefficient}
+with no zero stored, the vector convention of `sparse` -- or as dense
+row-major lists.  Matrices built from columns (the blocks of a
+differential read off a structure table, products, sums, transposes)
+stay sparse.  Reading `data` turns a matrix into dense rows for good,
+because callers may write through it; a dense matrix is scanned into
+columns each time it is eliminated.
+
+`ColumnEchelon` reduces the columns left to right against the span of
+the independent columns before them ("first-pivot convention").  Its
+results do not depend on the order of the arithmetic: the independent
+columns are the pivot columns of the reduced row echelon form, and a
+kernel vector is column j of that form with its sign flipped and a 1 at
+j.  So every answer is deterministic given the input.
 """
 
 from __future__ import annotations
 
+from .sparse import vadd, viadd, vneg, vscale
+
 
 class Matrix:
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "_data", "_columns")
 
     def __init__(self, field, rows: int, cols: int, data=None):
         self.field = field
         self.rows = rows
         self.cols = cols
         if data is None:
-            z = field.zero
-            self.data = [[z] * cols for _ in range(rows)]
+            self._data = None
+            self._columns = [{} for _ in range(cols)]
         else:
             if len(data) != rows or any(len(r) != cols for r in data):
                 raise ValueError("matrix data does not match shape")
-            self.data = [list(r) for r in data]
+            self._data = [list(r) for r in data]
+            self._columns = None
+
+    @classmethod
+    def from_columns(cls, field, rows: int, columns):
+        """Matrix with the given sparse columns; they are kept, not copied."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.cols = len(columns)
+        m._data = None
+        m._columns = list(columns)
+        return m
 
     @classmethod
     def from_rows(cls, field, rows):
@@ -31,181 +57,260 @@ class Matrix:
 
     @classmethod
     def from_cols(cls, field, cols, rows_hint=None):
-        if not cols:
-            return cls(field, rows_hint or 0, 0)
-        r = len(cols[0])
-        data = [[cols[j][i] for j in range(len(cols))] for i in range(r)]
-        return cls(field, r, len(cols), data)
+        """Matrix whose columns are the given dense vectors."""
+        rows = len(cols[0]) if cols else rows_hint or 0
+        return cls.from_columns(field, rows, [_sparse(c) for c in cols])
 
     @classmethod
     def identity(cls, field, n):
-        m = cls(field, n, n)
-        for i in range(n):
-            m.data[i][i] = field.one
-        return m
+        one = field.one
+        return cls.from_columns(field, n, [{i: one} for i in range(n)])
 
-    def copy(self):
-        return Matrix(self.field, self.rows, self.cols, self.data)
+    @property
+    def data(self):
+        """Dense rows.  The matrix is dense from here on: the rows may be
+        written through."""
+        if self._data is None:
+            z = self.field.zero
+            data = [[z] * self.cols for _ in range(self.rows)]
+            for j, col in enumerate(self._columns):
+                for i, v in col.items():
+                    data[i][j] = v
+            self._data = data
+            self._columns = None
+        return self._data
+
+    def columns(self):
+        """Sparse columns {row: coefficient}; read only."""
+        if self._columns is not None:
+            return self._columns
+        data = self._data
+        return [{i: row[j] for i, row in enumerate(data) if row[j]}
+                for j in range(self.cols)]
 
     def col(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
+        if self._columns is None:
+            return [row[j] for row in self._data]
+        out = [self.field.zero] * self.rows
+        for i, v in self._columns[j].items():
+            out[i] = v
+        return out
 
     def transpose(self):
-        return Matrix(self.field, self.cols, self.rows,
-                      [[self.data[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)])
+        out = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self.columns()):
+            for i, v in col.items():
+                out[i][j] = v
+        return Matrix.from_columns(self.field, self.cols, out)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+                and self.cols == other.cols
+                and self.columns() == other.columns())
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        z = self.field.zero
-        out = Matrix(self.field, self.rows, other.cols)
-        for i in range(self.rows):
-            row = self.data[i]
-            orow = out.data[i]
-            for k in range(self.cols):
-                a = row[k]
-                if not a:
-                    continue
-                brow = other.data[k]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if b:
-                        orow[j] = orow[j] + a * b
-        return out
+        mine = self.columns()
+        out = []
+        for col in other.columns():
+            acc = {}
+            for k, c in col.items():
+                viadd(acc, mine[k], c)
+            out.append(acc)
+        return Matrix.from_columns(self.field, self.rows, out)
 
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in sum")
-        return Matrix(self.field, self.rows, self.cols,
-                      [[self.data[i][j] + other.data[i][j]
-                        for j in range(self.cols)] for i in range(self.rows)])
+        return Matrix.from_columns(
+            self.field, self.rows,
+            [vadd(x, y) for x, y in zip(self.columns(), other.columns())])
 
     def __neg__(self):
-        return Matrix(self.field, self.rows, self.cols,
-                      [[-v for v in row] for row in self.data])
+        return Matrix.from_columns(self.field, self.rows,
+                                   [vneg(x) for x in self.columns()])
 
     def scale(self, c):
-        return Matrix(self.field, self.rows, self.cols,
-                      [[c * v for v in row] for row in self.data])
+        return Matrix.from_columns(self.field, self.rows,
+                                   [vscale(c, x) for x in self.columns()])
 
     def apply(self, v):
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            s = self.field.zero
-            row = self.data[i]
-            for j, x in enumerate(v):
-                if x:
-                    s = s + row[j] * x
-            out.append(s)
-        return out
+        acc = {}
+        for col, x in zip(self.columns(), v):
+            if x:
+                viadd(acc, col, x)
+        return _dense(acc, self.rows, self.field.zero)
 
     def is_zero(self):
-        return all(not v for row in self.data for v in row)
+        return not any(self.columns())
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def _rref(m: Matrix):
-    """Reduced row echelon form; returns (rref matrix, pivot column list)."""
-    a = [list(r) for r in m.data]
-    nr, nc = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = None
-        for i in range(r, nr):
-            if a[i][c]:
-                pr = i
+def _sparse(v):
+    return {i: c for i, c in enumerate(v) if c}
+
+
+def _dense(v: dict, n, zero):
+    out = [zero] * n
+    for i, c in v.items():
+        out[i] = c
+    return out
+
+
+def _subtract_multiple(acc: dict, x: dict, f, p) -> None:
+    """acc -= f * x in place; reduce mod p when p is nonzero."""
+    for i, c in x.items():
+        s = acc.get(i)
+        s = -f * c if s is None else s - f * c
+        if p:
+            s %= p
+        if s:
+            acc[i] = s
+        else:
+            del acc[i]
+
+
+class ColumnEchelon:
+    """Column elimination of a sparse matrix with a fixed pivot order.
+
+    `columns` are sparse vectors over `field`.  Column j is reduced
+    against the independent columns before it: while its lowest nonzero
+    row is the pivot row (lowest row) of a stored reduced column, that
+    multiple is subtracted.  If anything is left, column j is independent
+    and what is left is stored under its lowest row.  So:
+
+      pivots   the indices of the independent columns, ascending: the
+               first-pivot columns of the reduced row echelon form;
+      rank     their number;
+      kernel   (track=True only) for every other column j, the sparse
+               kernel vector with 1 at j, supported on j and the pivots
+               before it: the reduced-echelon kernel basis vector of j.
+
+    Over F_p the arithmetic runs on plain ints modulo p, and results are
+    turned back into field elements on the way out.
+    """
+
+    def __init__(self, field, columns, track=False):
+        self.field = field
+        self._p = field.characteristic
+        # pivot row -> (reduced column scaled to 1 there, its combination)
+        self._rows = {}
+        self.pivots = []
+        self.kernel = {}
+        one = 1 if self._p else field.one
+        for j, col in enumerate(columns):
+            comb = {j: one} if track else None
+            v, comb = self._reduce(self._lift(col), comb)
+            if v:
+                self._add_pivot(v, comb)
+                self.pivots.append(j)
+            elif track:
+                self.kernel[j] = self._lower(comb)
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def _lift(self, col):
+        if self._p:
+            return {i: c.val for i, c in col.items()}
+        return dict(col)
+
+    def _lower(self, v):
+        if self._p:
+            return {i: self.field(c) for i, c in v.items()}
+        return v
+
+    def _reduce(self, v, comb):
+        """Reduce v until its lowest row is no pivot row.  comb tracks the
+        input columns subtracted: v - sum comb[k] * column k stays fixed."""
+        rows, p = self._rows, self._p
+        while v:
+            r = min(v)
+            pivot = rows.get(r)
+            if pivot is None:
                 break
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = m.field.one / a[r][c]
-        a[r] = [inv * v for v in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [a[i][j] - f * a[r][j] for j in range(nc)]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return Matrix(m.field, nr, nc, a), pivots
+            f = v[r]
+            _subtract_multiple(v, pivot[0], f, p)
+            if comb is not None:
+                _subtract_multiple(comb, pivot[1], f, p)
+        return v, comb
+
+    def _add_pivot(self, v, comb):
+        r = min(v)
+        p = self._p
+        if p:
+            inv = pow(v[r], p - 2, p)
+            v = {i: c * inv % p for i, c in v.items()}
+            if comb is not None:
+                comb = {i: c * inv % p for i, c in comb.items()}
+        else:
+            inv = self.field.one / v[r]
+            v = {i: c * inv for i, c in v.items()}
+            if comb is not None:
+                comb = {i: c * inv for i, c in comb.items()}
+        self._rows[r] = (v, comb)
+
+    def solve(self, b: dict):
+        """Sparse x over the pivot columns with sum x[k] * column k = b, or
+        None when b is not in their span.  Needs track=True."""
+        v, comb = self._reduce(self._lift(b), {})
+        if v:
+            return None
+        return self._lower(vneg(comb))
 
 
 def eliminate(m: Matrix):
     """Rank, kernel basis and image basis of m, all exact.
 
-    kernel vectors are columns v with m @ v = 0; image basis is the set of
-    pivot columns of m itself, so rank + len(kernel) == cols.
+    kernel vectors are columns v with m @ v = 0, one per non-pivot column
+    in reduced-echelon form; the image basis is the pivot columns of m
+    itself, so rank + len(kernel) == cols.
     """
-    red, pivots = _rref(m)
-    rank = len(pivots)
-    pivset = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivset]
+    E = ColumnEchelon(m.field, m.columns(), track=True)
     z = m.field.zero
-    one = m.field.one
-    kernel = []
-    for j in free:
-        v = [z] * m.cols
-        v[j] = one
-        for r, pc in enumerate(pivots):
-            if red.data[r][j]:
-                v[pc] = -red.data[r][j]
-        kernel.append(v)
-    image = [m.col(j) for j in pivots]
-    return rank, kernel, image
+    kernel = [_dense(v, m.cols, z) for v in E.kernel.values()]
+    image = [m.col(j) for j in E.pivots]
+    return E.rank, kernel, image
 
 
 def rank(m: Matrix) -> int:
-    return eliminate(m)[0]
+    return ColumnEchelon(m.field, m.columns()).rank
 
 
 def solve(m: Matrix, b):
     """Some x with m @ x = b, or None when b is not in the image.
 
-    Raises on length mismatch; the zero-column case degenerates correctly.
+    x is the solution supported on the pivot columns.  Raises on length
+    mismatch; the zero-column case degenerates correctly.
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side has wrong length")
-    aug = Matrix(m.field, m.rows, m.cols + 1,
-                 [m.data[i] + [b[i]] for i in range(m.rows)])
-    red, pivots = _rref(aug)
-    if m.cols in pivots:
-        return None
-    z = m.field.zero
-    x = [z] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red.data[r][m.cols]
-    return x
+    x = ColumnEchelon(m.field, m.columns(), track=True).solve(_sparse(b))
+    return None if x is None else _dense(x, m.cols, m.field.zero)
 
 
 def solve_matrix(m: Matrix, bmat: Matrix):
     """Solve m @ X = bmat column by column; None if any column fails."""
+    E = ColumnEchelon(m.field, m.columns(), track=True)
     cols = []
-    for j in range(bmat.cols):
-        x = solve(m, bmat.col(j))
+    for b in bmat.columns():
+        x = E.solve(b)
         if x is None:
             return None
         cols.append(x)
-    return Matrix.from_cols(m.field, cols, rows_hint=m.cols)
+    return Matrix.from_columns(m.field, m.cols, cols)
 
 
 def inverse(m: Matrix):
     if m.rows != m.cols:
         raise ValueError("only square matrices invert")
-    inv = solve_matrix(m, Matrix.identity(m.field, m.rows))
-    if inv is None:
-        return None
-    return inv
+    return solve_matrix(m, Matrix.identity(m.field, m.rows))
 
 
 def quotient_representatives(span_cols, candidate_cols, field, dim):
@@ -215,10 +320,7 @@ def quotient_representatives(span_cols, candidate_cols, field, dim):
     Used for cohomology representatives: candidates are kernel vectors,
     span_cols the image of the previous differential.
     """
-    all_cols = list(span_cols) + list(candidate_cols)
-    if not all_cols:
-        return []
-    m = Matrix.from_cols(field, all_cols, rows_hint=dim)
-    _, pivots = _rref(m)
     k = len(span_cols)
-    return [candidate_cols[j - k] for j in pivots if j >= k]
+    E = ColumnEchelon(field, [_sparse(c) for c in
+                              list(span_cols) + list(candidate_cols)])
+    return [candidate_cols[j - k] for j in E.pivots if j >= k]

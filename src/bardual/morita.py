@@ -328,11 +328,6 @@ def _poly_roots(field, coeffs):
     return roots
 
 
-def _gcd(a, b):
-    import math
-    return math.gcd(a, b)
-
-
 def _divisors(n):
     out = []
     d = 1

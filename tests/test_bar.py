@@ -161,6 +161,15 @@ def test_hochschild_direct_rejects_zero_module():
         hochschild_direct(A, Z, 3)
 
 
+def test_hochschild_direct_rejects_negative_truncation():
+    A = builtin_algebra("mat2")
+    M = builtin_module(A, "mat2", "A")
+    with pytest.raises(ValueError, match="truncation length must be >= 0"):
+        reduced_bar(A, -1)
+    with pytest.raises(ValueError, match="truncation length must be >= 0"):
+        hochschild_direct(A, M, -1)
+
+
 def test_direct_equals_twist_on_builtins():
     cases = [("dual_numbers", "k"), ("dual_numbers", "Adual"),
              ("kxk", "k"), ("upper_tri_2", "k"), ("acyclic2", "A"),

@@ -238,3 +238,38 @@ def test_shipped_sample_algebras():
     B, _ = parse_algebra_file(str(acy))
     from bardual.graded import cohomology
     assert all(c.betti == 0 for c in cohomology(B.as_complex()).values())
+
+
+@pytest.mark.parametrize("W", ["0", "1"])
+def test_scenario_without_checks_fails(W, tmp_path, capsys):
+    # koszul-check compares degrees 0..W-2: none at all for W <= 1
+    r = tmp_path / "r.txt"
+    assert main(["koszul-check", "--algebra", "dual_numbers", "--module",
+                 "k", "--truncation", W, "--report", str(r)]) == 1
+    assert "result: FAIL" in capsys.readouterr().out
+    text = r.read_text()
+    assert "check." not in text and "status = FAIL" in text
+
+
+def test_negative_truncation_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["hochschild", "--algebra", "mat2", "--module", "A",
+              "--truncation", "-1"])
+    assert exc.value.code == 2
+    assert "truncation length must be >= 0" in capsys.readouterr().err
+
+
+def test_simples_beyond_the_enumeration_still_checks(capsys):
+    import pathlib
+    root = pathlib.Path(__file__).resolve().parent.parent
+    ut3 = root / "scripts" / "sample_algebras" / "upper_tri_3.alg"
+    assert main(["simples", "--algebra", str(ut3)]) == 0
+    out = capsys.readouterr().out
+    assert "[ok ] split" in out and "simples = 3" in out
+
+
+def test_python_dash_m_bardual_runs():
+    proc = subprocess.run([sys.executable, "-m", "bardual", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: bardual" in proc.stdout

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bardual.algebras import acyclic_two_dim
-from bardual.fields import QQ
+from bardual.fields import GF, QQ
 from bardual.graded import (Complex, GradedMap, GradedVectorSpace,
                             cohomology, dual, dual_complex, dual_map, hom,
-                            is_quasi_iso, shift, tensor, tensor_complex,
-                            truncate_complex)
+                            hom_complex, is_quasi_iso, shift, tensor,
+                            tensor_complex, truncate_complex)
 from bardual.linalg import Matrix
 from bardual.sampling import random_acyclic_complex, random_space, \
     random_square_zero
@@ -196,3 +196,41 @@ def test_dual_numbers_as_complex_has_betti_two():
     from bardual.catalog import builtin_algebra
     C = builtin_algebra("dual_numbers").as_complex()
     assert cohomology(C)[0].betti == 2
+
+
+def test_cohomology_representatives_are_pinned(field):
+    # representatives pinned from the dense reduced-echelon implementation:
+    # the first-pivot convention must survive the sparse elimination
+    f = field
+    V = space({0: 3, 1: 4, 2: 2})
+    d0 = Matrix.from_rows(f, [[f(15, 2), f(0), f(-15)], [f(-3), f(0), f(6)],
+                              [f(0), f(0), f(0)], [f(3), f(0), f(-6)]])
+    d1 = Matrix.from_rows(f, [[f(v) for v in r]
+                              for r in ([2, 4, 0, -1], [0, 3, 1, 3])])
+    C = Complex(f, V, GradedMap(f, V, V, 1, {0: d0, 1: d1}))
+    coh = cohomology(C)
+    got = {n: [[str(x) for x in r] for r in h.representatives]
+           for n, h in coh.items()}
+    h1 = ["2/3", "-1/3", "1", "0"] if f is QQ else ["3", "2", "1", "0"]
+    assert got == {0: [["0", "1", "0"], ["2", "0", "1"]], 1: [h1], 2: []}
+    assert {n: h.betti for n, h in coh.items()} == {0: 2, 1: 1, 2: 0}
+
+
+@given(st.integers(min_value=0, max_value=10_000),
+       st.sampled_from([QQ, GF(7)]))
+def test_hom_complex_betti_numbers(seed, field):
+    import random
+    rng = random.Random(seed)
+    V = random_space(rng, max_dim=3)
+    W = random_space(rng, max_dim=3, lo=-1, hi=2)
+    C = Complex(field, V, random_square_zero(field, V, rng))
+    D = Complex(field, W, random_square_zero(field, W, rng))
+    # building the complex runs the eager d^2 check on the Koszul sign
+    H = hom_complex(C, D)
+    bC = {n: h.betti for n, h in cohomology(C).items()}
+    bD = {n: h.betti for n, h in cohomology(D).items()}
+    bH = {n: h.betti for n, h in cohomology(H).items()}
+    # over a field, H^n Hom(C, D) = prod over j of Hom(H^j C, H^{j+n} D)
+    for n in set(bH) | {m - j for j in bC for m in bD}:
+        want = sum(b * bD.get(j + n, 0) for j, b in bC.items())
+        assert bH.get(n, 0) == want, (seed, n)

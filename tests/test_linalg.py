@@ -105,3 +105,105 @@ def test_char_two_refused():
         GF(2)
     with pytest.raises(ValueError):
         GF(9)
+
+
+# ---------------------------------------------------------------------------
+# properties of the column elimination on random sparse matrices, including
+# empty, zero-row and zero-column shapes, over Q and F_7
+
+
+def reference_rank(field, rows):
+    """Plain dense Gaussian elimination, independent of bardual.linalg."""
+    a = [list(r) for r in rows]
+    ncols = len(a[0]) if a else 0
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, len(a)):
+            if a[i][c]:
+                f = a[i][c] / a[r][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(field, dense rows, the same matrix built from sparse columns)."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    nrows = draw(st.integers(min_value=0, max_value=5))
+    ncols = draw(st.integers(min_value=0, max_value=5))
+    cells = [(i, j) for i in range(nrows) for j in range(ncols)]
+    entries = (draw(st.dictionaries(st.sampled_from(cells),
+                                    st.integers(min_value=-3, max_value=3),
+                                    max_size=len(cells)))
+               if cells else {})
+    rows = [[field.zero] * ncols for _ in range(nrows)]
+    columns = [{} for _ in range(ncols)]
+    for (i, j), v in entries.items():
+        if field(v):
+            rows[i][j] = columns[j][i] = field(v)
+    return field, rows, Matrix.from_columns(field, nrows, columns)
+
+
+def first_pivot_columns(field, rows, ncols):
+    """Columns not in the span of the columns before them."""
+    out = []
+    for j in range(ncols):
+        if (reference_rank(field, [r[:j + 1] for r in rows])
+                > reference_rank(field, [r[:j] for r in rows])):
+            out.append(j)
+    return out
+
+
+@given(sparse_matrices())
+def test_rank_matches_transpose_and_reference(data):
+    field, rows, m = data
+    want = reference_rank(field, rows)
+    assert rank(m) == want
+    assert rank(m.transpose()) == want
+
+
+@given(sparse_matrices())
+def test_elimination_kernel_image_and_nullity(data):
+    field, rows, m = data
+    r, kernel, image = eliminate(m)
+    assert r + len(kernel) == m.cols
+    pivots = first_pivot_columns(field, rows, m.cols)
+    assert r == len(pivots)
+    assert image == [m.col(j) for j in pivots]
+    free = [j for j in range(m.cols) if j not in pivots]
+    assert len(kernel) == len(free)
+    zero = [field.zero] * m.rows
+    for j, v in zip(free, kernel):
+        assert m.apply(v) == zero
+        # reduced-echelon shape: 1 at its own free column, 0 at the others,
+        # nothing past its own column
+        assert v[j] == field.one
+        assert all(not v[k] for k in free if k != j)
+        assert all(not x for x in v[j + 1:])
+    # a dense matrix with the same entries gives the same answers
+    assert eliminate(Matrix(field, m.rows, m.cols, rows)) == (r, kernel,
+                                                              image)
+
+
+@given(sparse_matrices(), st.data())
+def test_solve_succeeds_exactly_when_solvable(data, draw):
+    field, rows, m = data
+    if draw.draw(st.booleans()):
+        xs = draw.draw(st.lists(st.integers(min_value=-2, max_value=2),
+                                min_size=m.cols, max_size=m.cols))
+        b = m.apply([field(x) for x in xs])
+    else:
+        b = [field(v) for v in draw.draw(
+            st.lists(st.integers(min_value=-2, max_value=2),
+                     min_size=m.rows, max_size=m.rows))]
+    solvable = (reference_rank(field, [r + [c] for r, c in zip(rows, b)])
+                == reference_rank(field, rows))
+    x = solve(m, b)
+    assert (x is not None) == solvable
+    if x is not None:
+        assert m.apply(x) == b
