@@ -14,6 +14,22 @@ from bardual.cli import main as cli_main
 ORDINARY = ("k", "kxk", "dual_numbers", "upper_tri_2", "mat2")
 
 
+def scenario_runs(W):
+    """The CLI argument lists of the sweep at truncation W, in run order."""
+    W = str(W)
+    runs = []
+    for name in sorted(BUILTIN_ALGEBRAS):
+        runs.append(["verify", "--algebra", name])
+        runs.append(["hochschild", "--algebra", name, "--truncation", W])
+        if name in ORDINARY:
+            runs.append(["simples", "--algebra", name])
+            runs.append(["morita", "--algebra", name, "--seed", "1"])
+            if name != "mat2":
+                runs.append(["koszul-check", "--algebra", name,
+                             "--truncation", W])
+    return runs
+
+
 def run(argv):
     print("$ bardual " + " ".join(argv))
     code = cli_main(argv)
@@ -25,19 +41,8 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--truncation", type=int, default=3)
     args = ap.parse_args()
-    W = str(args.truncation)
 
-    failures = 0
-    for name in sorted(BUILTIN_ALGEBRAS):
-        failures += run(["verify", "--algebra", name])
-        failures += run(["hochschild", "--algebra", name,
-                         "--truncation", W])
-        if name in ORDINARY:
-            failures += run(["simples", "--algebra", name])
-            failures += run(["morita", "--algebra", name, "--seed", "1"])
-            if name != "mat2":
-                failures += run(["koszul-check", "--algebra", name,
-                                 "--truncation", W])
+    failures = sum(run(argv) for argv in scenario_runs(args.truncation))
     print(f"total failing scenario runs: {failures}")
     return 1 if failures else 0
 

@@ -35,7 +35,7 @@ from itertools import product as iproduct
 
 from .algebras import (CurvedAlgebra, CurvedModule, CurvedMorphism,
                        _flat_basis, change_basis, endomorphism_algebra,
-                       identity_morphism, module_action_map)
+                       identity_morphism, module_action_map, pullback_module)
 from .graded import GradedVectorSpace
 from .linalg import Matrix
 from .sparse import viadd
@@ -73,16 +73,7 @@ class FakeAugmentation:
         """Rewrite a module over the original algebra over the re-based one."""
         if M.algebra is self.original and self.algebra is self.original:
             return M
-        action = {}
-        for i in range(self.algebra.dim):
-            a_old = self.iso.apply(self.algebra.basis_vec(i))
-            for j in range(M.dim):
-                out = M.act(a_old, M.basis_vec(j))
-                if out:
-                    action[(i, j)] = out
-        return CurvedModule(self.algebra, M.space, action,
-                            {j: dict(v) for j, v in M.diff.items()},
-                            check=check)
+        return pullback_module(M, self.iso, check=check)
 
 
 def fake_augmentation(A: CurvedAlgebra) -> FakeAugmentation:

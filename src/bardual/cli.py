@@ -16,7 +16,9 @@ The algebra file grammar is line oriented ('#' starts a comment):
 
 Machine reports are flat "key = value" lines, deterministic byte-for-byte
 for identical inputs (timings go to stdout only, never into the report).
-Exit status is nonzero iff any check fails or none ran.
+Exit status is 1 when any check fails or none ran, and 2 (with a one-line
+`error:` message) when the input cannot be parsed or resolved: a bad
+field, an unreadable file, an unknown module or one the algebra lacks.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ from .morita import (OrdinaryAlgebra, OrdinaryModule, count_simples,
                      injective_cogenerator, morita_unit, radical,
                      regular_ordinary, simple_modules)
 from .sampling import random_ordinary_module
+
+
+class InputError(ValueError):
+    """Input the CLI cannot resolve: reported in one line, exit status 2."""
 
 
 class ParseError(ValueError):
@@ -299,21 +305,31 @@ def _digest(path):
     return h.hexdigest()[:16]
 
 
+def _field(text):
+    if not text or text == "Q":
+        return QQ
+    if text.startswith("F"):
+        try:
+            return GF(int(text[1:]))
+        except ValueError as e:
+            raise InputError(f"unsupported field {text!r}: {e}") from None
+    raise InputError(f"unknown field {text!r}; use Q or F<p>")
+
+
 def _load(args):
-    field = QQ
-    if args.field and args.field != "Q":
-        if args.field.startswith("F"):
-            field = GF(int(args.field[1:]))
-        else:
-            raise SystemExit(f"unknown field {args.field!r}")
+    field = _field(args.field)
     name = args.algebra
     if name in BUILTIN_ALGEBRAS:
         A = builtin_algebra(name, field)
         modules = {}
         digest = f"builtin:{name}"
     else:
-        A, modules = parse_algebra_file(name)
-        digest = _digest(name)
+        try:
+            A, modules = parse_algebra_file(name)
+            digest = _digest(name)
+        except OSError as e:
+            raise InputError(f"{name!r} is neither a builtin algebra nor a "
+                             f"readable file: {e.strerror}") from None
         if args.field:
             sys.stderr.write("note: --field ignored for file algebras\n")
     return A, modules, name, digest
@@ -330,13 +346,17 @@ def _pick_module(A, modules, alg_name, wanted):
     if wanted in modules:
         return modules[wanted], wanted
     if alg_name in BUILTIN_ALGEBRAS:
-        return builtin_module(A, alg_name, wanted), wanted
+        try:
+            return builtin_module(A, alg_name, wanted), wanted
+        except ValueError as e:
+            raise InputError(str(e)) from None
     from .algebras import regular_module, dual_regular_module
     if wanted == "A":
         return regular_module(A), "A"
     if wanted == "Adual":
         return dual_regular_module(A), "Adual"
-    raise SystemExit(f"unknown module {wanted!r}")
+    raise InputError(f"unknown module {wanted!r}; choices: "
+                     f"{', '.join(sorted(modules) + ['A', 'Adual'])}")
 
 
 def _report_rows(rep: ScenarioReport, args):
@@ -383,6 +403,7 @@ def scenario_hochschild(args) -> ScenarioReport:
     rep.check("direct-equals-twist.mult", E1.mult == E2.mult)
     rep.check("direct-equals-twist.diff", E1.diff == E2.diff)
     rep.check("uncurved", not E1.curvature and not E2.curvature)
+    del E2      # freed before validation so the two never share the peak
     r = E1.validate()
     rep.check("axioms", r.ok, "; ".join(repr(f) for f in r.failures[:3]))
     lo, hi = (args.window if args.window else
@@ -554,7 +575,7 @@ def main(argv=None) -> int:
 
     try:
         rep = run_scenario(args.scenario, args)
-    except (ParseError, ValidationError) as e:
+    except (InputError, ParseError, ValidationError) as e:
         print(f"error: {e}")
         return 2
     _report_rows(rep, args)

@@ -26,8 +26,8 @@ from __future__ import annotations
 from itertools import product as iproduct
 
 from .algebras import (CurvedModule, ModuleMap, TensorAlgebra,
-                       endomorphism_algebra, invert_morphism, tensor_algebras,
-                       _flat_basis)
+                       endomorphism_algebra, invert_morphism, pullback_module,
+                       tensor_algebras, _flat_basis)
 from .bar import (TruncatedTensorAlgebra, _generator_diff_table, _sxi_sign,
                   canonical_mc, hochschild_via_twist)
 from .graded import GradedVectorSpace
@@ -592,31 +592,9 @@ def functor_G(L: CurvedModule, M: CurvedModule, check=True) -> CurvedModule:
 
     GL = CurvedModule(R, space, action, diff, check=check)
     if R is not aug.original:
-        iso_inv = invert_morphism(aug.iso, check=False)
-        back = _PullbackTransport(aug.original, iso_inv)
-        GL = back.transport(GL, check=check)
+        GL = pullback_module(GL, invert_morphism(aug.iso, check=False),
+                             check=check)
     return GL
-
-
-class _PullbackTransport:
-    """Pull a module back along an algebra isomorphism (helper for G)."""
-
-    def __init__(self, target_algebra, morphism):
-        self.target_algebra = target_algebra
-        self.morphism = morphism  # target_algebra -> module's algebra
-
-    def transport(self, Mmod: CurvedModule, check=True) -> CurvedModule:
-        A = self.target_algebra
-        action = {}
-        for i in range(A.dim):
-            img = self.morphism.apply(A.basis_vec(i))
-            for j in range(Mmod.dim):
-                out = Mmod.act(img, Mmod.basis_vec(j))
-                if out:
-                    action[(i, j)] = out
-        return CurvedModule(A, Mmod.space, action,
-                            {j: dict(v) for j, v in Mmod.diff.items()},
-                            check=check)
 
 
 # ---------------------------------------------------------------------------

@@ -598,45 +598,27 @@ def decompose_regular_semisimple(A: OrdinaryAlgebra, seed=99):
     # dedup by intertwiner existence
     distinct = []
     for mats1 in reps:
-        if not any(_has_nonzero_hom(S, mats1, mats2) for mats2 in distinct):
+        if not any(eliminate(_intertwiner_system(S.field, mats1, mats2))[1]
+                   for mats2 in distinct):
             distinct.append(mats1)
     return len(distinct)
-
-
-def _has_nonzero_hom(A, mats1, mats2):
-    d1 = mats1[0].rows if mats1 else 0
-    d2 = mats2[0].rows if mats2 else 0
-    field = A.field
-    rows = []
-    for i in range(A.n):
-        m1, m2 = mats1[i], mats2[i]
-        for r in range(d2):
-            for c in range(d1):
-                row = [field.zero] * (d1 * d2)
-                for k in range(d1):
-                    row[k * d2 + r] = row[k * d2 + r] + m1.data[k][c]
-                for k in range(d2):
-                    row[c * d2 + k] = row[c * d2 + k] - m2.data[r][k]
-                rows.append(row)
-    m = Matrix.from_rows(field, rows) if rows else Matrix(field, 0, d1 * d2)
-    _, kernel, _ = eliminate(m)
-    return bool(kernel)
 
 
 # ---------------------------------------------------------------------------
 # Hom, End, classical Morita functors
 
 
-def hom_modules(A: OrdinaryAlgebra, M: OrdinaryModule, N: OrdinaryModule):
-    """Basis of Hom_A(M, N) as matrices (N.dim x M.dim)."""
-    field = A.field
-    dm, dn = M.dim, N.dim
-    if dm == 0 or dn == 0:
-        return []
+def _intertwiner_system(field, mats_m, mats_n):
+    """Linear system whose kernel is Hom_A(M, N), given the matrices of the
+    basis of A acting on M and on N.
+
+    The unknown phi (dim N x dim M) is flattened row by row, entry (r, c)
+    at r * dim M + c; one equation per basis element of A and entry of
+    phi . rho_M(e_i) - rho_N(e_i) . phi = 0.
+    """
+    dm, dn = mats_m[0].rows, mats_n[0].rows
     rows = []
-    for i in range(A.n):
-        mm, mn = M.mats[i], N.mats[i]
-        # phi . rho_M(e_i) - rho_N(e_i) . phi = 0
+    for mm, mn in zip(mats_m, mats_n):
         for r in range(dn):
             for c in range(dm):
                 row = [field.zero] * (dn * dm)
@@ -645,8 +627,16 @@ def hom_modules(A: OrdinaryAlgebra, M: OrdinaryModule, N: OrdinaryModule):
                 for k in range(dn):
                     row[k * dm + c] = row[k * dm + c] - mn.data[r][k]
                 rows.append(row)
-    m = Matrix.from_rows(field, rows)
-    _, kernel, _ = eliminate(m)
+    return Matrix.from_rows(field, rows)
+
+
+def hom_modules(A: OrdinaryAlgebra, M: OrdinaryModule, N: OrdinaryModule):
+    """Basis of Hom_A(M, N) as matrices (N.dim x M.dim)."""
+    field = A.field
+    dm, dn = M.dim, N.dim
+    if dm == 0 or dn == 0:
+        return []
+    _, kernel, _ = eliminate(_intertwiner_system(field, M.mats, N.mats))
     out = []
     for v in kernel:
         mat = Matrix(field, dn, dm)

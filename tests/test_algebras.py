@@ -1,19 +1,24 @@
+import functools
+import itertools
 import random
 
 import pytest
 
-from bardual.algebras import (CurvedMorphism, ValidationError,
+from bardual.algebras import (CurvedAlgebra, CurvedModule, CurvedMorphism,
+                              ValidationError,
                               acyclic_two_dim, algebra_from_tables,
                               bimodule_envelope, compose_curved,
                               dual_regular_module, endomorphism_algebra,
                               free_module, identity_morphism,
                               invert_morphism, opposite, product,
                               regular_bimodule, regular_module, validate)
-from bardual.catalog import builtin_algebra, BUILTIN_ALGEBRAS
+from bardual.bar import hochschild_direct
+from bardual.catalog import builtin_algebra, builtin_module, BUILTIN_ALGEBRAS
 from bardual.fields import QQ
 from bardual.graded import (GradedMap, GradedVectorSpace, cohomology,
                             is_quasi_iso)
 from bardual.sampling import random_dg_algebra
+from bardual.sparse import viadd
 from bardual.twisting import twist_algebra
 
 
@@ -26,14 +31,162 @@ def test_dual_numbers_valid():
     assert validate(dual_numbers()).ok
 
 
-def test_corrupted_leibniz_reported():
+@functools.lru_cache(maxsize=None)
+def hochschild_mat2():
+    """The mat2/A Hochschild algebra at W = 3: dim 640, 640^3 triples."""
+    A = builtin_algebra("mat2")
+    return hochschild_direct(A, builtin_module(A, "mat2", "A"), 3,
+                             check=False)
+
+
+def bumped(table, key, target, c=QQ(1)):
+    """A copy of a structure table with c added to table[key][target]."""
+    out = dict(table)
+    col = dict(out.get(key, {}))
+    viadd(col, {target: c})
+    if col:
+        out[key] = col
+    else:
+        out.pop(key, None)
+    return out
+
+
+def x_squared_is_x():
     # x^2 = x with dx = 1 breaks the Leibniz rule: d(x.x) = 2x != 1
-    with pytest.raises(ValidationError) as exc:
-        algebra_from_tables(QQ, {0: ["1"], -1: ["x"]}, "1",
-                            {("x", "x"): [(QQ(1), "x")]},
-                            {"x": [(QQ(1), "1")]})
-    assert any(f.identity in ("leibniz", "mult-degree")
-               for f in exc.value.report.failures)
+    return algebra_from_tables(QQ, {0: ["1"], -1: ["x"]}, "1",
+                               {("x", "x"): [(QQ(1), "x")]},
+                               {"x": [(QQ(1), "1")]}, check=False)
+
+
+def hochschild_with_bumped_differential():
+    E = hochschild_mat2()
+    i = E.idx(0, ((), 1))
+    diff = bumped(E.diff, i, min(E.diff[i]))
+    return CurvedAlgebra(E.field, E.space, E.unit, E.mult, diff, check=False)
+
+
+def test_corrupted_leibniz_reported():
+    for build in (x_squared_is_x, hochschild_with_bumped_differential):
+        with pytest.raises(ValidationError) as exc:
+            build().validate().raise_if_failed("algebra")
+        assert any(f.identity in ("leibniz", "mult-degree")
+                   for f in exc.value.report.failures), build.__name__
+
+
+# One product constant e_a e_b = e_c of the mat2/A Hochschild algebra,
+# bumped to 2 e_c.  It breaks associativity on 22 of the 640^3 triples
+# (20 for the regular module) and leaves every other identity intact, so
+# only a check that decides every triple can see it.
+BUMPED_PRODUCT = ((0, ((), 1)), (3, ((1, 1, 1), 8)))
+
+
+def test_exhaustive_associativity_above_the_old_budget():
+    E = hochschild_mat2()
+    key = tuple(E.idx(*bl) for bl in BUMPED_PRODUCT)
+    mult = bumped(E.mult, key, min(E.mult[key]))
+    bad = CurvedAlgebra(E.field, E.space, E.unit, mult, E.diff,
+                        check=False).validate()
+    assert f"associativity: all {640 ** 3} triples" in bad.notes
+    assert {f.identity for f in bad.failures} == {"associativity"}
+    assert len(bad.failures) == 22
+
+
+def test_exhaustive_action_associativity_above_the_old_budget():
+    E = hochschild_mat2()
+    M = regular_module(E, check=False)
+    key = tuple(E.idx(*bl) for bl in BUMPED_PRODUCT)
+    action = bumped(M.action, key, min(M.action[key]))
+    bad = CurvedModule(E, M.space, action, M.diff, check=False).validate()
+    assert f"action associativity: all {640 ** 3} triples" in bad.notes
+    assert {f.identity for f in bad.failures} == {"action-associativity"}
+    assert len(bad.failures) == 20
+
+
+def brute_force_failures(mult, action, adiff, xdiff, adeg, na, nx):
+    """Associativity triples and Leibniz pairs that fail, one at a time."""
+    assoc, leibniz = [], []
+    for i in range(na):
+        for j in range(na):
+            for k in range(nx):
+                lhs, rhs = {}, {}
+                for t, c in mult.get((i, j), {}).items():
+                    viadd(lhs, action.get((t, k), {}), c)
+                for t, c in action.get((j, k), {}).items():
+                    viadd(rhs, action.get((i, t), {}), c)
+                if lhs != rhs:
+                    assoc.append((i, j, k))
+    for i in range(na):
+        sign = -1 if adeg[i] % 2 else 1
+        for j in range(nx):
+            lhs, rhs = {}, {}
+            for t, c in action.get((i, j), {}).items():
+                viadd(lhs, xdiff.get(t, {}), c)
+            for t, c in adiff.get(i, {}).items():
+                viadd(rhs, action.get((t, j), {}), c)
+            for t, c in xdiff.get(j, {}).items():
+                viadd(rhs, action.get((i, t), {}), sign * c)
+            if lhs != rhs:
+                leibniz.append((i, j))
+    return assoc, leibniz
+
+
+def random_bump(rng, table, key_degrees, target_degrees, shift):
+    """`table` with a random nonzero constant added at a random place whose
+    target degree is the sum of the key degrees plus `shift`."""
+    places = []
+    for key in itertools.product(*(range(len(d)) for d in key_degrees)):
+        want = sum(d[k] for d, k in zip(key_degrees, key)) + shift
+        places += [(key if len(key) > 1 else key[0], t)
+                   for t, d in enumerate(target_degrees) if d == want]
+    if not places:
+        return None
+    key, target = rng.choice(places)
+    c = QQ(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2]))
+    return bumped(table, key, target, c)
+
+
+def test_joined_validation_matches_brute_force():
+    rng = random.Random(11)
+    cases = []
+    for seed in range(30):
+        A = random_dg_algebra(QQ, seed)
+        M = dual_regular_module(A, check=False)
+        n, deg, mdeg = A.dim, A.degree, M.degree
+        mult = random_bump(rng, A.mult, (deg, deg), deg, 0)
+        diff = random_bump(rng, A.diff, (deg,), deg, 1)
+        for m, d in ((mult, A.diff), (A.mult, diff)):
+            if m is not None and d is not None:
+                rep = CurvedAlgebra(QQ, A.space, A.unit, m, d,
+                                    check=False).validate()
+                assert rep.notes == [f"associativity: all {n ** 3} triples"]
+                cases.append((rep, "",
+                              brute_force_failures(m, m, d, d, deg, n, n)))
+        action = random_bump(rng, M.action, (deg, mdeg), mdeg, 0)
+        mdiff = random_bump(rng, M.diff, (mdeg,), mdeg, 1)
+        for act, md in ((action, M.diff), (M.action, mdiff)):
+            if act is not None and md is not None:
+                rep = CurvedModule(A, M.space, act, md, check=False).validate()
+                assert rep.notes == [
+                    f"action associativity: all {n * n * M.dim} triples"]
+                cases.append((rep, "module-", brute_force_failures(
+                    A.mult, act, A.diff, md, deg, n, M.dim)))
+        # k with only the unit acting: every other e_i acts by zero, while
+        # d(e_i) may not
+        act = {(u, 0): {0: c} for u, c in A.unit.items()}
+        N = CurvedModule(A, GradedVectorSpace({0: ["m"]}), act, {},
+                         check=False)
+        cases.append((N.validate(), "module-", brute_force_failures(
+            A.mult, act, A.diff, {}, deg, n, 1)))
+    failing = 0
+    for rep, prefix, (assoc, leibniz) in cases:
+        witnesses = {}
+        for f in rep.failures:
+            witnesses.setdefault(f.identity, []).append(f.witness)
+        assoc_name = "action-associativity" if prefix else "associativity"
+        assert witnesses.get(assoc_name, []) == assoc, rep
+        assert witnesses.get(prefix + "leibniz", []) == leibniz, rep
+        failing += bool(assoc or leibniz)
+    assert failing >= len(cases) // 2, (failing, len(cases))
 
 
 def test_curvature_degree_guard():

@@ -1,3 +1,4 @@
+import pathlib
 import subprocess
 import sys
 
@@ -273,3 +274,26 @@ def test_python_dash_m_bardual_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "usage: bardual" in proc.stdout
+
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "scripts" / \
+    "sample_algebras"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--algebra", "k", "--field", "F2"],
+    ["verify", "--algebra", "k", "--field", "F9"],
+    ["verify", "--algebra", "k", "--field", "X"],
+    ["verify", "--algebra", "no/such/file.alg"],
+    ["verify", "--algebra", str(SAMPLES)],
+    ["ext", "--algebra", "mat2", "--module", "k"],
+    ["hochschild", "--algebra", "mat2", "--module", "nosuch"],
+    ["hochschild", "--algebra", str(SAMPLES / "acyclic2.alg"),
+     "--module", "nosuch"],
+], ids=["F2", "F9", "unknown-field", "missing-file", "unreadable-file",
+        "module-the-algebra-lacks", "unknown-builtin-module",
+        "unknown-file-module"])
+def test_bad_input_is_one_line_with_exit_2(argv, capsys):
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1, out
