@@ -70,7 +70,7 @@ class ValidationError(ValueError):
 
 
 def _flat_basis(space: GradedVectorSpace):
-    return [(n, lbl) for n in space.degrees for lbl in space.labels(n)]
+    return space.flat[0]
 
 
 def _by_first(table):
@@ -166,8 +166,7 @@ class CurvedAlgebra:
                  check=True):
         self.field = field
         self.space = space
-        self.basis = _flat_basis(space)
-        self.index = {bl: i for i, bl in enumerate(self.basis)}
+        self.basis, self.index = space.flat
         self.degree = [bl[0] for bl in self.basis]
         self.unit = dict(unit)
         self.mult = mult
@@ -349,8 +348,7 @@ class CurvedModule:
         self.algebra = algebra
         self.field = algebra.field
         self.space = space
-        self.basis = _flat_basis(space)
-        self.index = {bl: i for i, bl in enumerate(self.basis)}
+        self.basis, self.index = space.flat
         self.degree = [bl[0] for bl in self.basis]
         self.action = action
         self.diff = diff

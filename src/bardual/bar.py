@@ -26,6 +26,18 @@ Sign conventions (fixed once here, audited by the validators downstream):
 * the canonical twisting element attached to a map delta: A -> C is
   xi = sum_i (-1)^{q_i (q_i + 1)/2} g_i (x) delta(c_i),
   which is Maurer-Cartan on the nose, at every truncation.
+
+Every construction here, and the functor F in `duality`, lives on one
+`WordBasis`: words in the generators up to length W tensored with a
+coefficient basis (C, a module N, or Hom(N, M)), with one index, one
+concatenation product (u (x) a)(v (x) x) = (-1)^{|a||v|} uv (x) a.x and
+one letter rewrite that applies the generator differential of
+`_generator_diff_table` with the Koszul sign of the prefix.  Module
+differentials get their end terms by twisting with the canonical element.
+`hochschild_direct` takes only the basis: its cup product, its dual
+tables of d and of the product, and its end terms stay its own code,
+because the `direct-equals-twist` checks certify them against the
+twisted bar, and a shared kernel would certify itself.
 """
 
 from __future__ import annotations
@@ -34,12 +46,12 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .algebras import (CurvedAlgebra, CurvedModule, CurvedMorphism,
-                       _flat_basis, change_basis, endomorphism_algebra,
-                       identity_morphism, module_action_map, pullback_module)
+                       change_basis, endomorphism_algebra, identity_morphism,
+                       module_action_map, pullback_module)
 from .graded import GradedVectorSpace
 from .linalg import Matrix
 from .sparse import viadd
-from .twisting import twist_algebra
+from .twisting import twist_algebra, twist_module
 
 
 def trivial_algebra(field) -> CurvedAlgebra:
@@ -133,39 +145,121 @@ def augmentation_defects(aug: FakeAugmentation):
     return pair, linear
 
 
+class WordBasis:
+    """Words of length <= W in generators, tensored with coefficient labels.
+
+    `gdeg[g]` is the degree of generator g, `clabels` the coefficient
+    labels in order and `cdeg[c]` the degree of label c.  Basis labels are
+    (word, coefficient label), with words ordered by length and then
+    lexicographically; `space`, `basis` and `index` are shared with every
+    algebra or module built on this basis.
+    """
+
+    def __init__(self, gdeg, W, clabels, cdeg):
+        self.gdeg = list(gdeg)
+        self.W = W
+        self.clabels = list(clabels)
+        self.cdeg = cdeg
+        self.words = [w for n in range(W + 1)
+                      for w in iproduct(range(len(self.gdeg)), repeat=n)]
+        self.wdeg = {w: sum(self.gdeg[g] for g in w) for w in self.words}
+        comp = {}
+        for w in self.words:
+            for c in self.clabels:
+                comp.setdefault(self.wdeg[w] + cdeg[c], []).append((w, c))
+        self.space = GradedVectorSpace(comp)
+        self.basis, self.index = self.space.flat
+
+    def idx(self, word, c) -> int:
+        return self.index[(self.wdeg[word] + self.cdeg[c], (word, c))]
+
+    def concatenation(self, left: WordBasis, table: dict) -> dict:
+        """{(left index, own index): vector} of
+        (u (x) a)(v (x) x) = (-1)^{|a||v|} uv (x) a.x, with a.x read from
+        `table` {(a, x): {y: coeff}} and words longer than W dropped.
+
+        `left` is the word basis of the acting algebra (self for a product).
+        """
+        out = {}
+        for u in left.words:
+            for v in self.words:
+                if len(u) + len(v) > self.W:
+                    break
+                uv = u + v
+                vdeg = self.wdeg[v]
+                for (a, x), prod in table.items():
+                    if prod:
+                        odd = (left.cdeg[a] * vdeg) % 2
+                        out[(left.idx(u, a), self.idx(v, x))] = {
+                            self.idx(uv, y): -c if odd else c
+                            for y, c in prod.items()}
+        return out
+
+    def rewrite(self, word, table: dict) -> list:
+        """[(word', coeff)]: every letter g of `word` replaced by each
+        (replacement, coeff) in table[g], with the sign (-1)^{degree of the
+        letters before it}; words longer than W are dropped."""
+        out = []
+        pref = 0
+        for pos, g in enumerate(word):
+            for repl, c in table[g]:
+                nw = word[:pos] + repl + word[pos + 1:]
+                if len(nw) <= self.W:
+                    out.append((nw, -c if pref % 2 else c))
+            pref += self.gdeg[g]
+        return out
+
+    def derivation(self, gen_d: dict, cdiff: dict) -> dict:
+        """{index: column} of d(w (x) c) = d(w) (x) c + (-1)^{|w|} w (x) dc,
+        with d(w) the letter rewrite through gen_d and dc read from cdiff
+        {c: {c': coeff}}."""
+        diff = {}
+        for w in self.words:
+            terms = self.rewrite(w, gen_d)
+            odd = self.wdeg[w] % 2
+            for c in self.clabels:
+                col = {}
+                for nw, cc in terms:
+                    viadd(col, {self.idx(nw, c): cc})
+                for k, cc in cdiff.get(c, {}).items():
+                    viadd(col, {self.idx(w, k): -cc if odd else cc})
+                if col:
+                    diff[self.idx(w, c)] = col
+        return diff
+
+
 class TruncatedTensorAlgebra(CurvedAlgebra):
     """Word-length <= W quotient of a completed tensor algebra on duals.
 
     Basis labels are (word, coefficient index) with word a tuple of
-    generator positions.  Carries the construction data needed by the
-    duality functors.
+    generator positions, laid out by `word_basis`.  Carries the
+    construction data needed by the duality functors; `aug` is None for
+    the unreduced construction.
     """
 
-    def __init__(self, field, space, unit, mult, diff, curvature, *,
-                 source, aug, coeff, delta, gens, W, kind, check=True):
-        super().__init__(field, space, unit, mult, diff, curvature,
-                         check=check)
+    def __init__(self, field, word_basis, unit, mult, diff, curvature, *,
+                 source, aug, coeff, delta, gens, check=True):
+        super().__init__(field, word_basis.space, unit, mult, diff,
+                         curvature, check=check)
+        self.word_basis = word_basis
         self.source = source
         self.aug = aug
         self.coeff = coeff
         self.delta = delta
         self.gens = gens          # list of (source basis index, degree)
-        self.W = W
-        self.kind = kind
+        self.W = word_basis.W
 
     def arity(self, i: int) -> int:
         return len(self.basis[i][1][0])
 
     def word_coeff_index(self, word, ci) -> int:
-        deg = sum(self.gens[g][1] for g in word) + self.coeff.degree[ci]
-        return self.index[(deg, (word, ci))]
+        return self.word_basis.idx(word, ci)
 
     def retwisted(self, diff, curvature, check=True):
         return TruncatedTensorAlgebra(
-            self.field, self.space, self.unit, self.mult, diff, curvature,
-            source=self.source, aug=self.aug, coeff=self.coeff,
-            delta=self.delta, gens=self.gens, W=self.W, kind=self.kind,
-            check=check)
+            self.field, self.word_basis, self.unit, self.mult, diff,
+            curvature, source=self.source, aug=self.aug, coeff=self.coeff,
+            delta=self.delta, gens=self.gens, check=check)
 
 
 def _sxi_sign(field, q: int):
@@ -173,112 +267,61 @@ def _sxi_sign(field, q: int):
     return -field.one if (q * (q + 1) // 2) % 2 else field.one
 
 
-def _build_truncated(field, source, aug, coeff, delta, gens, gen_mult,
-                     gen_eps2, gen_diff1, gen_eps1, W, kind, check):
-    """Shared assembly for the reduced and unreduced constructions.
+def _generator_diff_table(A: CurvedAlgebra, aug: FakeAugmentation | None):
+    """The bar differential on generators as letter rewrites, generator
+    position -> [(replacement word, coeff)]:
+    d(g_i) = - sum (-1)^{q_j} mu^i_{jk} g_j g_k - sum nu^i_j g_j.
 
-    gen_mult[(j,k)] -> {i: mu}: structure constants of the projected product
-    on the chosen complement, indexed by generator positions; gen_diff1[j]
-    -> {i: nu} its projected differential; gen_eps2 / gen_eps1 the scalar
-    defect parts feeding the curvature.
+    The generators are dual to the complement A_+ of `aug` (whose algebra
+    is A), or to all of A when aug is None (the unreduced construction).
     """
-    one = field.one
-    G = len(gens)
-    gdeg = [d for (_, d) in gens]
+    one = A.field.one
+    plus = aug.plus if aug else range(A.dim)
+    gpos = {s: p for p, s in enumerate(plus)}
+    gen_d = {g: [] for g in range(len(gpos))}
+    for pj, j in enumerate(plus):
+        s = -one if A.degree[j] % 2 else one
+        for pk, k in enumerate(plus):
+            for i, mu in A.mult.get((j, k), {}).items():
+                if i in gpos:
+                    gen_d[gpos[i]].append(((pj, pk), -s * mu))
+    for pj, j in enumerate(plus):
+        for i, nu in A.diff.get(j, {}).items():
+            if i in gpos:
+                gen_d[gpos[i]].append(((pj,), -nu))
+    return gen_d
 
-    words = []
-    for length in range(W + 1):
-        words.extend(iproduct(range(G), repeat=length))
-    wdeg = {w: sum(gdeg[g] for g in w) for w in words}
 
-    comp = {}
-    for w in words:
-        for ci in range(coeff.dim):
-            comp.setdefault(wdeg[w] + coeff.degree[ci], []).append((w, ci))
-    space = GradedVectorSpace(comp)
-    basis = _flat_basis(space)
-    index = {bl: i for i, bl in enumerate(basis)}
-
-    def bidx(w, ci):
-        return index[(wdeg[w] + coeff.degree[ci], (w, ci))]
-
-    mult = {}
-    by_len = {}
-    for w in words:
-        by_len.setdefault(len(w), []).append(w)
-    for lu in range(W + 1):
-        for lv in range(W + 1 - lu):
-            for u in by_len.get(lu, ()):
-                for v in by_len.get(lv, ()):
-                    uv = u + v
-                    vdeg = wdeg[v]
-                    for (c, c2), prod in coeff.mult.items():
-                        sgn = (-one if (coeff.degree[c] * vdeg) % 2
-                               else one)
-                        col = {}
-                        for k, cc in prod.items():
-                            col[bidx(uv, k)] = sgn * cc
-                        if col:
-                            mult[(bidx(u, c), bidx(v, c2))] = col
-
-    # generator differential as replacement lists: pos g -> [(tuple, coeff)]
-    gen_d = {g: [] for g in range(G)}
-    for (j, k), out in gen_mult.items():
-        s = -one if gdeg_internal(gens, j) % 2 else one
-        for i, mu in out.items():
-            gen_d[i].append(((j, k), -s * mu))
-    for j, out in gen_diff1.items():
-        for i, nu in out.items():
-            gen_d[i].append(((j,), -nu))
-
-    diff = {}
-    for w in words:
-        base_terms = []
-        pref = 0
-        for pos, g in enumerate(w):
-            psgn = -one if pref % 2 else one
-            for repl, cc in gen_d[g]:
-                nw = w[:pos] + repl + w[pos + 1:]
-                if len(nw) <= W:
-                    base_terms.append((nw, psgn * cc))
-            pref += gdeg[g]
-        wsgn = -one if wdeg[w] % 2 else one
-        for ci in range(coeff.dim):
-            col = {}
-            for nw, cc in base_terms:
-                viadd(col, {bidx(nw, ci): cc})
-            dc = coeff.diff.get(ci)
-            if dc:
-                for k, cc in dc.items():
-                    viadd(col, {bidx(w, k): wsgn * cc})
-            if col:
-                diff[bidx(w, ci)] = col
-
-    unit = {}
-    for k, v in coeff.unit.items():
-        unit[bidx((), k)] = v
+def _build_truncated(source, aug, coeff, delta, W, check):
+    """Shared assembly for the reduced (aug given, source = aug.algebra)
+    and unreduced (aug None) constructions."""
+    field = source.field
+    coeff = coeff or trivial_algebra(field)
+    plus = aug.plus if aug else range(source.dim)
+    gens = [(i, 1 - source.degree[i]) for i in plus]
+    words = WordBasis([d for (_, d) in gens], W, range(coeff.dim),
+                      coeff.degree)
+    mult = words.concatenation(words, coeff.mult)
+    diff = words.derivation(_generator_diff_table(source, aug), coeff.diff)
+    unit = {words.idx((), k): v for k, v in coeff.unit.items()}
 
     curv = {}
-    for (j, k), c in gen_eps2.items():
-        s = -one if gdeg_internal(gens, k) % 2 else one
-        if W >= 2:
-            for cu, vu in coeff.unit.items():
-                viadd(curv, {bidx((j, k), cu): -s * c * vu})
-    for j, c in gen_eps1.items():
-        if W >= 1:
-            for cu, vu in coeff.unit.items():
-                viadd(curv, {bidx((j,), cu): -c * vu})
+    if aug:
+        # h = - sum (-1)^{q_k} eps(c_j c_k) g_j g_k - sum eps(d c_j) g_j
+        eps2, eps1 = augmentation_defects(aug)
+        h = [((j, k), c if source.degree[plus[k]] % 2 else -c)
+             for (j, k), c in eps2.items()]
+        h += [((j,), -c) for j, c in eps1.items()]
+        for word, c in h:
+            if len(word) <= W:
+                for cu, vu in coeff.unit.items():
+                    viadd(curv, {words.idx(word, cu): c * vu})
     for k, v in coeff.curvature.items():
-        viadd(curv, {bidx((), k): v})
+        viadd(curv, {words.idx((), k): v})
 
     return TruncatedTensorAlgebra(
-        field, space, unit, mult, diff, curv, source=source, aug=aug,
-        coeff=coeff, delta=delta, gens=gens, W=W, kind=kind, check=check)
-
-
-def gdeg_internal(gens, pos):
-    """Internal degree of the source basis element behind generator pos."""
-    return 1 - gens[pos][1]
+        field, words, unit, mult, diff, curv, source=source, aug=aug,
+        coeff=coeff, delta=delta, gens=gens, check=check)
 
 
 def reduced_bar(A: CurvedAlgebra, W: int, coeff: CurvedAlgebra | None = None,
@@ -294,30 +337,7 @@ def reduced_bar(A: CurvedAlgebra, W: int, coeff: CurvedAlgebra | None = None,
     if W < 0:
         raise ValueError("truncation length must be >= 0")
     aug = aug or fake_augmentation(A)
-    R = aug.algebra
-    field = R.field
-    coeff = coeff or trivial_algebra(field)
-    gens = [(i, 1 - R.degree[i]) for i in aug.plus]
-    gpos = {i: p for p, (i, _) in enumerate(gens)}
-
-    gen_mult = {}
-    for pj, j in enumerate(aug.plus):
-        for pk, k in enumerate(aug.plus):
-            prod = R.mult.get((j, k), {})
-            out = {gpos[i]: c for i, c in prod.items() if i != aug.unit_idx}
-            if out:
-                gen_mult[(pj, pk)] = out
-    gen_diff1 = {}
-    for pj, j in enumerate(aug.plus):
-        col = R.diff.get(j, {})
-        out = {gpos[i]: c for i, c in col.items() if i != aug.unit_idx}
-        if out:
-            gen_diff1[pj] = out
-    gen_eps2, gen_eps1 = augmentation_defects(aug)
-
-    return _build_truncated(field, R, aug, coeff, delta, gens, gen_mult,
-                            gen_eps2, gen_diff1, gen_eps1, W, "reduced",
-                            check)
+    return _build_truncated(aug.algebra, aug, coeff, delta, W, check)
 
 
 def unreduced_bar(A: CurvedAlgebra, W: int,
@@ -333,20 +353,7 @@ def unreduced_bar(A: CurvedAlgebra, W: int,
         raise ValueError("truncation length must be >= 0")
     if not A.is_uncurved():
         raise ValueError("bar constructions are for honest dg algebras")
-    field = A.field
-    coeff = coeff or trivial_algebra(field)
-    gens = [(i, 1 - A.degree[i]) for i in range(A.dim)]
-
-    gen_mult = {}
-    for j in range(A.dim):
-        for k in range(A.dim):
-            prod = A.mult.get((j, k), {})
-            if prod:
-                gen_mult[(j, k)] = dict(prod)
-    gen_diff1 = {j: dict(col) for j, col in A.diff.items()}
-
-    return _build_truncated(field, A, None, coeff, delta, gens, gen_mult,
-                            {}, gen_diff1, {}, W, "unreduced", check)
+    return _build_truncated(A, None, coeff, delta, W, check)
 
 
 def canonical_mc(bar: TruncatedTensorAlgebra) -> dict:
@@ -433,34 +440,20 @@ def hochschild_direct(A: CurvedAlgebra, M: CurvedModule, W: int,
     G = len(gens)
     gdeg = [d for (_, d) in gens]
     qdeg = [1 - d for d in gdeg]
-
-    words = []
-    for length in range(W + 1):
-        words.extend(iproduct(range(G), repeat=length))
-    wdeg = {w: sum(gdeg[g] for g in w) for w in words}
-
-    comp = {}
-    for w in words:
-        for ci in range(endm.dim):
-            comp.setdefault(wdeg[w] + endm.degree[ci], []).append((w, ci))
-    space = GradedVectorSpace(comp)
-    basis = _flat_basis(space)
-    index = {bl: i for i, bl in enumerate(basis)}
-
-    def bidx(w, ci):
-        return index[(wdeg[w] + endm.degree[ci], (w, ci))]
+    wb = WordBasis(gdeg, W, range(endm.dim), endm.degree)
+    words, wdeg, idx = wb.words, wb.wdeg, wb.idx
 
     # cup product: (u (x) S)(v (x) T) = (-1)^{|S||v|} uv (x) S o T
     mult = {}
     for u in words:
         for v in words:
             if len(u) + len(v) > W:
-                continue
+                break       # the basis orders words by length
             uv = u + v
             for (c, c2), prod in endm.mult.items():
                 sgn = -one if (endm.degree[c] * wdeg[v]) % 2 else one
-                col = {bidx(uv, k): sgn * cc for k, cc in prod.items()}
-                mult[(bidx(u, c), bidx(v, c2))] = col
+                col = {idx(uv, k): sgn * cc for k, cc in prod.items()}
+                mult[(idx(u, c), idx(v, c2))] = col
 
     # positional differential; both tables are keyed by the letter being
     # rewritten, i.e. they encode the duals of d and of multiplication
@@ -499,11 +492,11 @@ def hochschild_direct(A: CurvedAlgebra, M: CurvedModule, W: int,
         for ci in range(endm.dim):
             col = {}
             for nw, cc in letter_terms:
-                viadd(col, {bidx(nw, ci): cc})
+                viadd(col, {idx(nw, ci): cc})
             dc = endm.diff.get(ci)
             if dc:
                 for k, cc in dc.items():
-                    viadd(col, {bidx(w, k): wsgn * cc})
+                    viadd(col, {idx(w, k): wsgn * cc})
             # end terms: [xi, -] for xi = sum s(q) g (x) delta(c)
             tdeg = endm.degree[ci]
             xdeg = wdeg[w] + tdeg
@@ -518,7 +511,7 @@ def hochschild_direct(A: CurvedAlgebra, M: CurvedModule, W: int,
                     prod = endm.mult.get((k, ci))
                     if prod:
                         for k2, c2 in prod.items():
-                            viadd(col, {bidx((pos,) + w, k2):
+                            viadd(col, {idx((pos,) + w, k2):
                                         lsgn * c * c2})
                 # right: -(-1)^{|x|} (-1)^{|T|(1-q)} w.g (x) T o delta(c)
                 r = s
@@ -530,15 +523,14 @@ def hochschild_direct(A: CurvedAlgebra, M: CurvedModule, W: int,
                     prod = endm.mult.get((ci, k))
                     if prod:
                         for k2, c2 in prod.items():
-                            viadd(col, {bidx(w + (pos,), k2): -r * c * c2})
+                            viadd(col, {idx(w + (pos,), k2): -r * c * c2})
             if col:
-                diff[bidx(w, ci)] = col
+                diff[idx(w, ci)] = col
 
-    unit = {bidx((), k): v for k, v in endm.unit.items()}
-    out = TruncatedTensorAlgebra(
-        field, space, unit, mult, diff, {}, source=R, aug=aug, coeff=endm,
-        delta=delta, gens=gens, W=W, kind="reduced", check=check)
-    return out
+    unit = {idx((), k): v for k, v in endm.unit.items()}
+    return TruncatedTensorAlgebra(
+        field, wb, unit, mult, diff, {}, source=R, aug=aug, coeff=endm,
+        delta=delta, gens=gens, check=check)
 
 
 def bar_resolution_module(A: CurvedAlgebra, N: CurvedModule, W: int,
@@ -551,109 +543,15 @@ def bar_resolution_module(A: CurvedAlgebra, N: CurvedModule, W: int,
     into the coefficient field instead of vanishing.  Returns the pair
     (Hochschild algebra of A, twisted module).
     """
-    field = A.field
+    if N.algebra is not A:
+        raise ValueError("N must be a module over A")
     H = hochschild_via_twist(A, W, reduced=reduced, check=check)
-    one = field.one
     Nb = H.aug.transport_module(N, check=check) if reduced else N
-    srcs = [s for (s, _) in H.gens]
-
-    # module basis: (word, module index); same word enumeration as H
-    G = len(H.gens)
-    gdeg = [d for (_, d) in H.gens]
-    words = []
-    for length in range(W + 1):
-        words.extend(iproduct(range(G), repeat=length))
-    wdeg = {w: sum(gdeg[g] for g in w) for w in words}
-    comp = {}
-    for w in words:
-        for mi in range(Nb.dim):
-            comp.setdefault(wdeg[w] + Nb.degree[mi], []).append((w, mi))
-    space = GradedVectorSpace(comp)
-    basis = _flat_basis(space)
-    index = {bl: i for i, bl in enumerate(basis)}
-
-    def midx(w, mi):
-        return index[(wdeg[w] + Nb.degree[mi], (w, mi))]
-
-    # action of (u (x) a) on (v (x) x): (-1)^{|a||v|} uv (x) a.x
-    action = {}
-    for i in range(H.dim):
-        _, (u, ci) = H.basis[i]
-        cdeg = H.coeff.degree[ci]
-        for v in words:
-            if len(u) + len(v) > W:
-                continue
-            sgn = -one if (cdeg * wdeg[v]) % 2 else one
-            for mi in range(Nb.dim):
-                out = Nb.action.get((ci, mi))
-                if not out:
-                    continue
-                col = {midx(u + v, k): sgn * c for k, c in out.items()}
-                action[(i, midx(v, mi))] = col
-    # differential: bar part + internal + xi action
-    gen_d = _generator_diff_table(H)
-    sxi = [_sxi_sign(field, 1 - d) for d in gdeg]
-    diff = {}
-    for w in words:
-        letter_terms = []
-        pref = 0
-        for pos, g in enumerate(w):
-            psgn = -one if pref % 2 else one
-            for repl, cc in gen_d[g]:
-                nw = w[:pos] + repl + w[pos + 1:]
-                if len(nw) <= W:
-                    letter_terms.append((nw, psgn * cc))
-            pref += gdeg[g]
-        wsgn = -one if wdeg[w] % 2 else one
-        for mi in range(Nb.dim):
-            col = {}
-            for nw, cc in letter_terms:
-                viadd(col, {midx(nw, mi): cc})
-            dm = Nb.diff.get(mi)
-            if dm:
-                for k, cc in dm.items():
-                    viadd(col, {midx(w, k): wsgn * cc})
-            if len(w) + 1 <= W:
-                for pos in range(G):
-                    src = srcs[pos]
-                    out = Nb.action.get((src, mi))
-                    if not out:
-                        continue
-                    lsgn = sxi[pos]
-                    if ((1 - gdeg[pos]) * wdeg[w]) % 2:
-                        lsgn = -lsgn
-                    for k, c in out.items():
-                        viadd(col, {midx((pos,) + w, k): lsgn * c})
-            if col:
-                diff[midx(w, mi)] = col
-    return H, CurvedModule(H, space, action, diff, check=check)
-
-
-def _generator_diff_table(bar: TruncatedTensorAlgebra):
-    """Recover the generator-level differential replacements of a bar
-    algebra (before any twist) from its construction data."""
-    one = bar.field.one
-    A = bar.source
-    if bar.kind == "reduced":
-        plus = bar.aug.plus
-        unit_idx = bar.aug.unit_idx
-    else:
-        plus = [s for (s, _) in bar.gens]
-        unit_idx = None
-    gpos = {s: p for p, s in enumerate(plus)}
-    gen_d = {g: [] for g in range(len(bar.gens))}
-    for pj, j in enumerate(plus):
-        for pk, k in enumerate(plus):
-            prod = A.mult.get((j, k), {})
-            s = -one if A.degree[j] % 2 else one
-            for i, mu in prod.items():
-                if unit_idx is not None and i == unit_idx:
-                    continue
-                gen_d[gpos[i]].append(((pj, pk), -s * mu))
-    for pj, j in enumerate(plus):
-        col = A.diff.get(j, {})
-        for i, nuc in col.items():
-            if unit_idx is not None and i == unit_idx:
-                continue
-            gen_d[gpos[i]].append(((pj,), -nuc))
-    return gen_d
+    words = WordBasis(H.word_basis.gdeg, W, range(Nb.dim), Nb.degree)
+    action = words.concatenation(H.word_basis, Nb.action)
+    diff = words.derivation(_generator_diff_table(H.source, H.aug), Nb.diff)
+    # bar(A) (x) N before the twist: not a module over anything, it only
+    # hands its action and differential to twist_module
+    untwisted = CurvedModule(H, words.space, action, diff, check=False)
+    return H, twist_module(untwisted, H.twist_element, algebra=H,
+                           check=check)

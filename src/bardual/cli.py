@@ -35,9 +35,9 @@ from .catalog import (BUILTIN_ALGEBRAS, builtin_algebra, builtin_module,
                       default_module_name)
 from .fields import GF, QQ
 from .graded import GradedVectorSpace, cohomology
-from .morita import (OrdinaryAlgebra, OrdinaryModule, count_simples,
-                     decompose_regular_semisimple, ext_oracle, gamma,
-                     injective_cogenerator, morita_unit, radical,
+from .morita import (NotSplitError, OrdinaryAlgebra, OrdinaryModule,
+                     count_simples, decompose_regular_semisimple, ext_oracle,
+                     gamma, injective_cogenerator, morita_unit, radical,
                      regular_ordinary, simple_modules)
 from .sampling import random_ordinary_module
 
@@ -485,6 +485,8 @@ def scenario_simples(args) -> ScenarioReport:
     Ao = OrdinaryAlgebra(A)
     try:
         cnt = count_simples(Ao)
+    except NotSplitError as e:
+        raise InputError(str(e)) from None
     except ValueError as e:
         rep.check("split", False, str(e)[:120])
         return rep

@@ -23,13 +23,11 @@ module validators):
 
 from __future__ import annotations
 
-from itertools import product as iproduct
-
 from .algebras import (CurvedModule, ModuleMap, TensorAlgebra,
                        endomorphism_algebra, invert_morphism, pullback_module,
                        tensor_algebras, _flat_basis)
-from .bar import (TruncatedTensorAlgebra, _generator_diff_table, _sxi_sign,
-                  canonical_mc, hochschild_via_twist)
+from .bar import (TruncatedTensorAlgebra, WordBasis, _generator_diff_table,
+                  _sxi_sign, canonical_mc, hochschild_via_twist)
 from .graded import GradedVectorSpace
 from .linalg import Matrix, eliminate, solve
 from .sparse import viadd, vneg
@@ -189,133 +187,76 @@ def functor_F(N: CurvedModule, M: CurvedModule, W: int, E=None, check=True):
     """F(N): reduced Hochschild cochains of A with coefficients Hom(N, M),
     a left module over E (the Hochschild algebra with End(M) coefficients).
 
+    The words carry Hom(N, M) coefficients; E acts by concatenation and
+    post-composition, the differential is the bar rewrite plus the Hom
+    differential plus the right end term through the action on N, and the
+    left end term comes from twisting by the canonical element of E.
     Returns (E, F(N)); F(N) carries the transported modules as .Nb / .Mb.
     """
     A = N.algebra
     if M.algebra is not A:
         raise ValueError("N and M must be modules over the same algebra")
-    field = A.field
-    one = field.one
     if E is None:
         E = hochschild_via_twist(A, W, M=M, check=check)
+    elif E.aug is None or E.aug.original is not A:
+        raise ValueError("E must be a Hochschild algebra of the algebra of N")
+    elif E.W != W:
+        raise ValueError(f"E is truncated at W={E.W}, not at W={W}")
+    field = A.field
+    one = field.one
     aug = E.aug
     Nb = aug.transport_module(N, check=check)
     Mb = aug.transport_module(M, check=check)
-    endm = E.coeff
-    end_labels = [lbl for (_, lbl) in endm.basis]
-    delta = E.delta
+    Ew = E.word_basis
 
     hom_basis = [(j, b) for j in range(Nb.dim) for b in range(Mb.dim)]
     hdeg = {(j, b): Mb.degree[b] - Nb.degree[j] for (j, b) in hom_basis}
+    words = WordBasis(Ew.gdeg, W, hom_basis, hdeg)
 
-    def post(t, jb):
-        """T o phi for the End(M) unit t."""
-        (p, a_), (q, b_) = end_labels[t]
-        src, tgt = Mb.index[(p, a_)], Mb.index[(q, b_)]
-        j, b = jb
-        return {(j, tgt): one} if b == src else {}
+    # the End(M) matrix unit t = (s -> u) acts by post-composition,
+    # t o phi_{j->s} = phi_{j->u}
+    ends = [(Mb.index[s], Mb.index[u]) for (_, (s, u)) in E.coeff.basis]
+    post = {(t, (j, s)): {(j, u): one}
+            for t, (s, u) in enumerate(ends) for j in range(Nb.dim)}
+    action = words.concatenation(Ew, post)
 
-    def pre(src_idx, jb):
-        """phi o (action of the algebra element src_idx on N)."""
-        j, b = jb
-        out = {}
-        for i2 in range(Nb.dim):
-            img = Nb.action.get((src_idx, i2))
-            if img and j in img:
-                out[(i2, b)] = img[j]
-        return out
+    # internal Hom differential: d_M o phi - (-1)^{|phi|} phi o d_N
+    hom_d = {}
+    for j, b in hom_basis:
+        col = {(j, b2): c for b2, c in Mb.diff.get(b, {}).items()}
+        for j0 in range(Nb.dim):
+            c = Nb.diff.get(j0, {}).get(j)
+            if c:
+                viadd(col, {(j0, b): c if hdeg[(j, b)] % 2 else -c})
+        if col:
+            hom_d[(j, b)] = col
+    diff = words.derivation(_generator_diff_table(E.source, aug), hom_d)
 
-    G = len(E.gens)
-    gdeg = [d for (_, d) in E.gens]
-    qdeg = [1 - d for d in gdeg]
-    srcs = [s for (s, _) in E.gens]
-    words = []
-    for length in range(W + 1):
-        words.extend(iproduct(range(G), repeat=length))
-    wdeg = {w: sum(gdeg[g] for g in w) for w in words}
-
-    comp = {}
-    for w in words:
-        for jb in hom_basis:
-            comp.setdefault(wdeg[w] + hdeg[jb], []).append((w, jb))
-    space = GradedVectorSpace(comp)
-    index = {bl: i for i, bl in enumerate(_flat_basis(space))}
-
-    def fidx(w, jb):
-        return index[(wdeg[w] + hdeg[jb], (w, jb))]
-
-    action = {}
-    for i in range(E.dim):
-        _, (u, t) = E.basis[i]
-        tdeg = endm.degree[t]
-        for v in words:
-            if len(u) + len(v) > W:
-                continue
-            sgn = -one if (tdeg * wdeg[v]) % 2 else one
-            for jb in hom_basis:
-                img = post(t, jb)
-                if not img:
-                    continue
-                col = {fidx(u + v, k): sgn * c for k, c in img.items()}
-                action[(i, fidx(v, jb))] = col
-
-    gen_d = _generator_diff_table(E)
-    sxi = [_sxi_sign(field, q) for q in qdeg]
-    diff = {}
-    for w in words:
-        letter_terms = []
-        pref = 0
-        for pos, g in enumerate(w):
-            psgn = -one if pref % 2 else one
-            for repl, cc in gen_d[g]:
-                nw = w[:pos] + repl + w[pos + 1:]
-                if len(nw) <= W:
-                    letter_terms.append((nw, psgn * cc))
-            pref += gdeg[g]
-        wsgn = -one if wdeg[w] % 2 else one
-        for jb in hom_basis:
-            j, b = jb
+    # right end term through the action on N:
+    # -(-1)^{|x|} (w (x) phi) . xi_A, phi o (c . -) on the last letter
+    sxi = [_sxi_sign(field, 1 - d) for d in Ew.gdeg]
+    for w in words.words:
+        if len(w) == W:
+            break
+        for j, b in hom_basis:
             col = {}
-            for nw, cc in letter_terms:
-                viadd(col, {fidx(nw, jb): cc})
-            # internal Hom differential: d_M o phi - (-1)^{|phi|} phi o d_N
-            dmb = Mb.diff.get(b)
-            if dmb:
-                for b2, cc in dmb.items():
-                    viadd(col, {fidx(w, (j, b2)): wsgn * cc})
-            pre_sgn = -wsgn if hdeg[jb] % 2 == 0 else wsgn
-            for j0 in range(Nb.dim):
-                dn = Nb.diff.get(j0)
-                if dn and j in dn:
-                    viadd(col, {fidx(w, (j0, b)): pre_sgn * dn[j]})
-            # end terms: left through delta_M, right through delta_N;
-            # these vanish independently of each other
-            xdeg = wdeg[w] + hdeg[jb]
-            if len(w) + 1 <= W:
-                for pos in range(G):
-                    s = sxi[pos]
-                    img = delta.get(srcs[pos], {})
-                    if img:
-                        lsgn = s * (-one if (qdeg[pos] * wdeg[w]) % 2
-                                    else one)
-                        for t, c in img.items():
-                            for k in post(t, jb):
-                                viadd(col, {fidx((pos,) + w, k): lsgn * c})
-                    pre_map = pre(srcs[pos], jb)
-                    if pre_map:
-                        r = s
-                        if xdeg % 2:
-                            r = -r
-                        if (hdeg[jb] * (1 - qdeg[pos])) % 2:
-                            r = -r
-                        for k, c2 in pre_map.items():
-                            viadd(col, {fidx(w + (pos,), k): -r * c2})
+            for pos, (src, gd) in enumerate(E.gens):
+                r = sxi[pos]
+                if (words.wdeg[w] + hdeg[(j, b)] * (1 + gd)) % 2:
+                    r = -r
+                for i2 in range(Nb.dim):
+                    c = Nb.action.get((src, i2), {}).get(j)
+                    if c:
+                        viadd(col, {words.idx(w + (pos,), (i2, b)): -r * c})
             if col:
-                diff[fidx(w, jb)] = col
+                viadd(diff.setdefault(words.idx(w, (j, b)), {}), col)
 
-    FN = CurvedModule(E, space, action, diff, check=check)
+    # twist_module drops the columns that cancelled above
+    F0 = CurvedModule(E, words.space, action, diff, check=False)
+    FN = twist_module(F0, canonical_mc(E), algebra=E, check=check)
     FN.Nb, FN.Mb = Nb, Mb
     FN.hom_basis = hom_basis
+    FN.word_basis = words
     return E, FN
 
 
@@ -325,17 +266,16 @@ def functor_F_on_map(f: ModuleMap, FN_src, FN_tgt, check=True) -> ModuleMap:
 
     FN_src must be F(N') and FN_tgt F(N), both over the same E.
     """
-    E = FN_src.algebra
+    words = FN_tgt.word_basis
     blocks = {}
     for i in range(FN_src.dim):
-        deg, (w, (j2, b)) = FN_src.basis[i]
+        _, (w, (j2, b)) = FN_src.basis[i]
         col = {}
-        # phi_{j2 -> b} o f = sum_j f[j][j2] phi_{j -> b}; f has degree 0,
-        # so the word-and-coefficient degree is unchanged
+        # phi_{j2 -> b} o f = sum_j f[j][j2] phi_{j -> b}
         for j, fcol in f.blocks.items():
             c = fcol.get(j2)
             if c:
-                viadd(col, {FN_tgt.index[(deg, (w, (j, b)))]: c})
+                viadd(col, {words.idx(w, (j, b)): c})
         if col:
             blocks[i] = col
     return ModuleMap(FN_src, FN_tgt, blocks, check=check)
@@ -347,29 +287,23 @@ def right_hochschild_action(FN: CurvedModule, HA: TruncatedTensorAlgebra):
 
     Returns the action table {(HA index, F index): F vector}.
     """
-    E = FN.algebra
-    field = E.field
-    one = field.one
-    W = E.W
+    one = FN.field.one
     Nb = FN.Nb
+    words = FN.word_basis
     action = {}
     for i in range(HA.dim):
-        _, (w, a_ci) = HA.basis[i]
-        wd = sum(HA.gens[g][1] for g in w)
-        adeg = HA.coeff.degree[a_ci]
+        _, (w, a) = HA.basis[i]
+        wd = HA.word_basis.wdeg[w]
         for k in range(FN.dim):
-            deg, (v, (j, b)) = FN.basis[k]
-            if len(v) + len(w) > W:
+            _, (v, (j, b)) = FN.basis[k]
+            if len(v) + len(w) > words.W:
                 continue
-            phideg = deg - sum(E.gens[g][1] for g in v)
-            sgn = -one if (phideg * wd) % 2 else one
+            sgn = -one if (words.cdeg[(j, b)] * wd) % 2 else one
             col = {}
             for j0 in range(Nb.dim):
-                img = Nb.action.get((a_ci, j0))
+                img = Nb.action.get((a, j0))
                 if img and j in img:
-                    tgt_deg = wd + adeg + deg
-                    viadd(col, {FN.index[(tgt_deg, (v + w, (j0, b)))]:
-                                sgn * img[j]})
+                    viadd(col, {words.idx(v + w, (j0, b)): sgn * img[j]})
             if col:
                 action[(i, k)] = col
     return action

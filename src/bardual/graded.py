@@ -20,7 +20,7 @@ from .linalg import (Matrix, eliminate, quotient_representatives, rank,
 class GradedVectorSpace:
     """Finite-support map degree -> ordered tuple of basis labels."""
 
-    __slots__ = ("components",)
+    __slots__ = ("components", "_flat")
 
     def __init__(self, components):
         comp = {}
@@ -32,6 +32,7 @@ class GradedVectorSpace:
                 raise ValueError(f"duplicate basis labels in degree {n}")
             comp[n] = labels
         self.components = comp
+        self._flat = None
 
     @property
     def degrees(self):
@@ -43,6 +44,16 @@ class GradedVectorSpace:
     @property
     def total_dim(self) -> int:
         return sum(len(v) for v in self.components.values())
+
+    @property
+    def flat(self):
+        """(basis, index): the (degree, label) pairs in degree order and
+        their positions, built once and shared by everything on this space."""
+        if self._flat is None:
+            basis = [(n, lbl) for n in self.degrees
+                     for lbl in self.components[n]]
+            self._flat = (basis, {bl: i for i, bl in enumerate(basis)})
+        return self._flat
 
     def labels(self, n: int):
         return self.components.get(n, ())

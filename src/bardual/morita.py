@@ -28,6 +28,11 @@ from .graded import GradedVectorSpace
 from .linalg import Matrix, eliminate, inverse, solve, quotient_representatives
 
 
+class NotSplitError(ValueError):
+    """The semisimple quotient does not split over the ground field: the
+    count needs a field extension, which this engine does not make."""
+
+
 class OrdinaryAlgebra:
     """A finite-dimensional algebra concentrated in degree 0, zero d."""
 
@@ -364,7 +369,7 @@ def central_idempotents(S: OrdinaryAlgebra):
                     continue
                 roots = _poly_roots(field, mp)
                 if len(roots) < deg:
-                    raise ValueError(
+                    raise NotSplitError(
                         "semisimple quotient does not split: extend the field")
                 for lam in roots:
                     proj = dict(e)
@@ -503,7 +508,7 @@ def block_simple_module(S: OrdinaryAlgebra, e, seed=777):
             if d * d == block_dim:
                 break
     if best is None or len(best) ** 2 != block_dim:
-        raise ValueError(
+        raise NotSplitError(
             "block is not split over the ground field: extend the field")
     sub_mats = _module_on_subspace(S, mats, best)
     return best, sub_mats

@@ -48,21 +48,6 @@ def viadd(acc: dict, y: dict, c=None) -> None:
                 del acc[i]
 
 
-def vsub(x: dict, y: dict) -> dict:
-    out = dict(x)
-    for i, c in y.items():
-        s = out.get(i)
-        if s is None:
-            out[i] = -c
-        else:
-            s = s - c
-            if s:
-                out[i] = s
-            else:
-                del out[i]
-    return out
-
-
 def vscale(c, x: dict) -> dict:
     if not c:
         return {}

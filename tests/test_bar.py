@@ -457,3 +457,13 @@ def test_cup_product_ring_structure_on_cohomology():
         assert solve(m, target) is None, n
         # and it is a cocycle
         assert E.d(power) == {}, n
+
+
+def test_bar_resolution_module_rejects_a_module_over_another_algebra():
+    # the kxk module k over upper_tri_2 would build an action that is not
+    # unital; it is refused before anything is built
+    A = builtin_algebra("upper_tri_2")
+    K2 = builtin_algebra("kxk")
+    N = builtin_module(K2, "kxk", "k")
+    with pytest.raises(ValueError, match="module over A"):
+        bar_resolution_module(A, N, 3, check=False)

@@ -139,7 +139,7 @@ def test_reports_are_byte_identical(tmp_path, capsys):
 
 
 def test_exit_code_nonzero_on_failed_check(tmp_path, capsys):
-    # simples over a non-split algebra reports failure and exits nonzero
+    # simples over a non-split algebra is refused as input (exit 2)
     p = tmp_path / "quat.alg"
     p.write_text("""\
 field Q
@@ -158,9 +158,17 @@ mul k j = -1*i
 mul k i = 1*j
 mul i k = -1*j
 """)
-    assert main(["simples", "--algebra", str(p)]) == 1
+    assert main(["simples", "--algebra", str(p)]) == 2
     out = capsys.readouterr().out
-    assert "FAIL" in out
+    assert out.startswith("error: ") and out.count("\n") == 1, out
+    assert "extend the field" in out
+    # a check that really fails still exits 1: the axioms of a
+    # non-associative file algebra
+    bad = tmp_path / "bad.alg"
+    bad.write_text(NON_ASSOCIATIVE)
+    assert main(["verify", "--algebra", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "construction" in out
 
 
 def test_console_entry_point_runs():

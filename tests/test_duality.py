@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from bardual.algebras import (CurvedModule, acyclic_two_dim, free_module,
                               product)
 from bardual.bar import hochschild_via_twist, reduced_bar
@@ -286,3 +288,13 @@ def test_G_of_zero_module_is_zero():
     GZ = functor_G(Z, M)
     coh = cohomology(GZ.as_complex())
     assert all(c.betti == 0 for c in coh.values())
+
+
+def test_functor_F_rejects_E_at_another_truncation():
+    # W=4 against E built at W=3 would give an action that is not
+    # associative; it is refused before anything is built
+    A = builtin_algebra("dual_numbers")
+    M = builtin_module(A, "dual_numbers", "k")
+    E = hochschild_via_twist(A, 3, M=M, check=False)
+    with pytest.raises(ValueError, match="W=3"):
+        functor_F(M, M, 4, E=E, check=False)
