@@ -33,7 +33,8 @@ coefficient basis (C, a module N, or Hom(N, M)), with one index, one
 concatenation product (u (x) a)(v (x) x) = (-1)^{|a||v|} uv (x) a.x and
 one letter rewrite that applies the generator differential of
 `_generator_diff_table` with the Koszul sign of the prefix.  Module
-differentials get their end terms by twisting with the canonical element.
+differentials get their left end term by twisting with the canonical
+element.
 `hochschild_direct` takes only the basis: its cup product, its dual
 tables of d and of the product, and its end terms stay its own code,
 because the `direct-equals-twist` checks certify them against the
