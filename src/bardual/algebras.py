@@ -21,11 +21,21 @@ structure constants, so their cost scales with the number of nonzero
 product paths rather than with dim^3 (dim^2): a triple that no nonzero
 path reaches has both sides zero.  The report notes name the full
 number of triples decided.
+
+The two joins run on Python ints, not on field elements.  Each
+`validate` call converts its tables once (`_int_tables`): over Q every
+constant of every table is multiplied by one common denominator D, and
+over F_p the residues are used as they are.  Each side of an identity
+the joins decide is a sum of products of exactly two constants, so over
+Q both sides scale by D^2 and a difference is zero exactly when it was;
+over F_p a difference is reduced mod p when it is tested, and nowhere
+else.  The unit, degree and d^2 checks stay in field arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from math import lcm
 
 from .graded import Complex, GradedMap, GradedVectorSpace
 from .linalg import Matrix, inverse
@@ -73,6 +83,39 @@ def _flat_basis(space: GradedVectorSpace):
     return space.flat[0]
 
 
+def _int_tables(field, *tables):
+    """The structure tables as integer tables {key: ((index, int), ...)}.
+
+    Over Q every constant is multiplied by one common denominator D, the
+    lcm of the denominators in all the tables of the call; over F_p the
+    residues are taken as they are.  Returns (p, converted tables), with
+    p the characteristic: a difference the joins accumulate from these
+    tables stands for zero exactly when it is zero (over Q) or divisible
+    by p (over F_p).  Equal columns share one tuple, which keeps the
+    tables of a construction with many unit products small.
+    """
+    p = field.characteristic
+    if p:
+        def ints(col):
+            return tuple((t, c.val) for t, c in col.items())
+    else:
+        D = lcm(*{c.denominator for table in tables
+                  for col in table.values() for c in col.values()})
+
+        def ints(col):
+            return tuple((t, c.numerator * (D // c.denominator))
+                         for t, c in col.items())
+    shared = {}
+    out = []
+    for table in tables:
+        conv = {}
+        for key, col in table.items():
+            col = ints(col)
+            conv[key] = shared.setdefault(col, col)
+        out.append(conv)
+    return p, out
+
+
 def _by_first(table):
     """{(i, j): vec} -> {i: [j, ...]}, the nonzero entries of each row."""
     out = {}
@@ -81,78 +124,104 @@ def _by_first(table):
     return out
 
 
-def _scale(c):
-    """c as a `viadd` factor: None for 1, which saves the multiplication."""
-    return None if c == 1 else c
+def _nonzero_keys(acc, p):
+    """The keys of `acc` whose accumulated vector is nonzero (mod p if p)."""
+    if p:
+        rem = p.__rmod__                # rem(v) = v % p
+        return sorted(key for key, d in acc.items()
+                      if any(map(rem, d.values())))
+    return sorted(key for key, d in acc.items() if any(d.values()))
 
 
-def _associativity_failures(mult, action):
+def _associativity_failures(mult, action, p):
     """Triples (i, j, k) with (e_i e_j) x_k != e_i (e_j x_k), sorted.
 
     `mult` is the algebra's product table and `action` its action on a
-    space X (the product table again when X is the algebra).  For each
-    left factor i the difference of the two sides is accumulated as one
-    sparse vector per (j, k) over the nonzero paths only: the left side
-    through e_i e_j = sum c_t e_t, the right side through the index of
-    the pairs (j, k) whose product e_j x_k involves a given x_t.  Every
-    nonzero accumulated vector is a failing triple, and a triple reached
-    by no path has both sides zero, so every triple is decided.
+    space X (the product table again when X is the algebra), both as
+    integer tables from one `_int_tables` call of characteristic `p`.
+    For each left factor i the difference of the two sides is
+    accumulated as one sparse vector per (j, k) over the nonzero paths
+    only: the left side through e_i e_j = sum c_t e_t, the right side
+    through the index of the pairs (j, k) whose product e_j x_k has a
+    coefficient on x_t.  Every nonzero accumulated vector is a failing
+    triple, and a triple reached by no path has both sides zero, so every
+    triple is decided.
+
+    Each side is a sum of products of one product constant and one
+    action constant (left) or of two action constants (right).  Over Q
+    `_int_tables` scaled all of them by the same D, so both sides are
+    D^2 times the true ones and a difference is zero exactly when it was.
+    Over F_p the sums are taken in the integers and reduced mod p only
+    when a vector is tested.
     """
     mult_first = _by_first(mult)
     act_first = mult_first if action is mult else _by_first(action)
-    produced = {}            # t -> the pairs (j, k) with x_t in e_j x_k
+    produced = {}      # t -> ([(j, k), ...], [c, ...]): c x_t is in e_j x_k
     for key, out in action.items():
-        for t in out:
-            produced.setdefault(t, []).append(key)
+        for t, c in out:
+            keys, coefs = produced.setdefault(t, ([], []))
+            keys.append(key)
+            coefs.append(c)
     bad = []
     for i in sorted(mult_first.keys() | act_first.keys()):
         acc = {}
         for j in mult_first.get(i, ()):
-            for t, c in mult[(i, j)].items():
-                c = _scale(c)
+            for t, c in mult[(i, j)]:
                 for k in act_first.get(t, ()):
-                    viadd(acc.setdefault((j, k), {}), action[(t, k)], c)
+                    d = acc.setdefault((j, k), {})
+                    for s, v in action[(t, k)]:
+                        d[s] = d.get(s, 0) + c * v
         for t in act_first.get(i, ()):
-            q = vneg(action[(i, t)])
-            for key in produced.get(t, ()):
-                viadd(acc.setdefault(key, {}), q, _scale(action[key][t]))
-        bad.extend((i, j, k) for j, k in sorted(key for key, d in acc.items()
-                                                if d))
+            out = action[(i, t)]
+            keys, coefs = produced.get(t, ((), ()))
+            for key, c in zip(keys, coefs):
+                d = acc.setdefault(key, {})
+                for s, v in out:
+                    d[s] = d.get(s, 0) - c * v
+        bad.extend((i, j, k) for j, k in _nonzero_keys(acc, p))
     return bad
 
 
-def _leibniz_failures(action, adiff, xdiff, adeg):
+def _leibniz_failures(action, adiff, xdiff, adeg, p):
     """Pairs (i, j) with d(e_i x_j) != d(e_i) x_j + (-1)^{|e_i|} e_i d(x_j).
 
     `action` is the algebra's action on X (its product when X is the
-    algebra), `adiff` and `xdiff` the two differentials and `adeg` the
-    algebra degrees.  As in `_associativity_failures`, the difference is
-    accumulated per left factor over nonzero entries only, so a pair no
-    entry reaches has both sides zero.
+    algebra), `adiff` and `xdiff` the two differentials, all as integer
+    tables from one `_int_tables` call of characteristic `p`, and `adeg`
+    the algebra degrees.  As in `_associativity_failures`, the difference
+    is accumulated per left factor over nonzero entries only, so a pair
+    no entry reaches has both sides zero.  Every term is a product of one
+    action constant and one differential constant, so with the common D
+    of `_int_tables` both sides scale by D^2; over F_p the difference is
+    reduced mod p when it is tested.
     """
     act_first = _by_first(action)
     hits = {}                # t -> [(j, c)]: x_t has coefficient c in d(x_j)
     for j, col in xdiff.items():
-        for t, c in col.items():
+        for t, c in col:
             hits.setdefault(t, []).append((j, c))
     bad = []
     for i in sorted(act_first.keys() | adiff.keys()):
         acc = {}
         for j in act_first.get(i, ()):
             d = acc.setdefault(j, {})
-            for t, c in action[(i, j)].items():
-                col = xdiff.get(t)
-                if col:
-                    viadd(d, col, _scale(c))
-        for t, c in adiff.get(i, {}).items():
+            for t, c in action[(i, j)]:
+                for s, v in xdiff.get(t, ()):
+                    d[s] = d.get(s, 0) + c * v
+        for t, c in adiff.get(i, ()):
             for j in act_first.get(t, ()):
-                viadd(acc.setdefault(j, {}), action[(t, j)], -c)
-        odd = adeg[i] % 2
+                d = acc.setdefault(j, {})
+                for s, v in action[(t, j)]:
+                    d[s] = d.get(s, 0) - c * v
+        sign = 1 if adeg[i] % 2 else -1
         for t in act_first.get(i, ()):
-            q = action[(i, t)]
+            out = action[(i, t)]
             for j, c in hits.get(t, ()):
-                viadd(acc.setdefault(j, {}), q, c if odd else -c)
-        bad.extend((i, j) for j in sorted(j for j, d in acc.items() if d))
+                d = acc.setdefault(j, {})
+                c *= sign
+                for s, v in out:
+                    d[s] = d.get(s, 0) + c * v
+        bad.extend((i, j) for j in _nonzero_keys(acc, p))
     return bad
 
 
@@ -287,10 +356,12 @@ class CurvedAlgebra:
                 rep.add("right-unit", (i,))
 
         rep.notes.append(f"associativity: all {n * n * n} triples")
-        for w in _associativity_failures(mult, mult):
+        p, (imult, idiff) = _int_tables(self.field, mult, diff)
+        for w in _associativity_failures(imult, imult, p):
             rep.add("associativity", w)
-        for w in _leibniz_failures(mult, diff, diff, deg):
+        for w in _leibniz_failures(imult, idiff, idiff, deg, p):
             rep.add("leibniz", w)
+        del imult, idiff
 
         h = self.curvature
         for i in range(n):
@@ -421,10 +492,13 @@ class CurvedModule:
 
         triples = A.dim * A.dim * self.dim
         rep.notes.append(f"action associativity: all {triples} triples")
-        for w in _associativity_failures(A.mult, action):
+        p, (imult, iaction, iadiff, ixdiff) = _int_tables(
+            self.field, A.mult, action, A.diff, self.diff)
+        for w in _associativity_failures(imult, iaction, p):
             rep.add("action-associativity", w)
-        for w in _leibniz_failures(action, A.diff, self.diff, adeg):
+        for w in _leibniz_failures(iaction, iadiff, ixdiff, adeg, p):
             rep.add("module-leibniz", w)
+        del imult, iaction, iadiff, ixdiff
 
         for j in range(self.dim):
             lhs = self.d(self.diff.get(j, {}))

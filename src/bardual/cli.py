@@ -36,8 +36,9 @@ from .catalog import (BUILTIN_ALGEBRAS, builtin_algebra, builtin_module,
 from .fields import GF, QQ
 from .graded import GradedVectorSpace, cohomology
 from .morita import (NotSplitError, OrdinaryAlgebra, OrdinaryModule,
-                     count_simples, decompose_regular_semisimple, ext_oracle,
-                     gamma, injective_cogenerator, morita_unit, radical,
+                     TraceFormLimitError, count_simples,
+                     decompose_regular_semisimple, ext_oracle, gamma,
+                     injective_cogenerator, morita_unit, radical,
                      regular_ordinary, simple_modules)
 from .sampling import random_ordinary_module
 
@@ -487,6 +488,8 @@ def scenario_simples(args) -> ScenarioReport:
         cnt = count_simples(Ao)
     except NotSplitError as e:
         raise InputError(str(e)) from None
+    except TraceFormLimitError:
+        raise               # input this method refuses: see run_scenario
     except ValueError as e:
         rep.check("split", False, str(e)[:120])
         return rep
@@ -542,7 +545,12 @@ def run_scenario(name: str, args) -> ScenarioReport:
     except KeyError:
         raise SystemExit(f"unknown scenario {name!r}; "
                          f"choices: {sorted(SCENARIOS)}") from None
-    return fn(args)
+    try:
+        return fn(args)
+    except TraceFormLimitError as e:
+        # the field's characteristic is too small for the trace-form
+        # radical: refused input, not a failed check
+        raise InputError(str(e)) from None
 
 
 def _window(text):

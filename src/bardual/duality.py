@@ -24,8 +24,9 @@ module validators):
 from __future__ import annotations
 
 from .algebras import (CurvedModule, ModuleMap, TensorAlgebra,
-                       endomorphism_algebra, invert_morphism, pullback_module,
-                       tensor_algebras, _flat_basis)
+                       endomorphism_algebra, invert_morphism,
+                       module_action_map, pullback_module, tensor_algebras,
+                       _flat_basis)
 from .bar import (TruncatedTensorAlgebra, WordBasis, _generator_diff_table,
                   _sxi_sign, canonical_mc, hochschild_via_twist)
 from .graded import GradedVectorSpace
@@ -183,6 +184,22 @@ def end_embed_tensor(Ep: TensorAlgebra):
 # functor F
 
 
+def _check_coefficients(E, Mb):
+    """Refuse an E whose coefficients are not End(Mb) acted on by A
+    through Mb: E was then built for another coefficient module."""
+    endm = endomorphism_algebra(Mb.space, Mb.diff_map(), Mb.field,
+                                check=False)
+    C = E.coeff
+    if C.basis != endm.basis:
+        raise ValueError("E was built for another coefficient module: the "
+                         "labels of E.coeff are not those of End(M)")
+    if ((C.unit, C.mult, C.diff, C.curvature)
+            != (endm.unit, endm.mult, endm.diff, endm.curvature)
+            or E.delta != module_action_map(Mb, endm)):
+        raise ValueError("E was built for another coefficient module: "
+                         "E.coeff or its action map is not End(M)")
+
+
 def functor_F(N: CurvedModule, M: CurvedModule, W: int, E=None, check=True):
     """F(N): reduced Hochschild cochains of A with coefficients Hom(N, M),
     a left module over E (the Hochschild algebra with End(M) coefficients).
@@ -196,7 +213,8 @@ def functor_F(N: CurvedModule, M: CurvedModule, W: int, E=None, check=True):
     A = N.algebra
     if M.algebra is not A:
         raise ValueError("N and M must be modules over the same algebra")
-    if E is None:
+    given = E is not None
+    if not given:
         E = hochschild_via_twist(A, W, M=M, check=check)
     elif E.aug is None or E.aug.original is not A:
         raise ValueError("E must be a Hochschild algebra of the algebra of N")
@@ -207,6 +225,8 @@ def functor_F(N: CurvedModule, M: CurvedModule, W: int, E=None, check=True):
     aug = E.aug
     Nb = aug.transport_module(N, check=check)
     Mb = aug.transport_module(M, check=check)
+    if given:
+        _check_coefficients(E, Mb)
     Ew = E.word_basis
 
     hom_basis = [(j, b) for j in range(Nb.dim) for b in range(Mb.dim)]

@@ -1,14 +1,15 @@
 """Ordinary (non-dg) finite-dimensional algebras: radicals, simple modules,
 projective resolutions, Ext groups, and classical Morita duality.
 
-Everything is exact.  The radical comes from the trace-form criterion
-(valid in characteristic 0 or p > dim A, guarded).  Simple-module counts
-go through the center of the semisimple quotient: central idempotents are
-split off using the rational (or F_p) roots of minimal polynomials, and
-each block is certified split by exhibiting a minimal left ideal whose
-dimension squares to the block dimension.  A non-split block (e.g. a
-quaternion algebra over Q) raises with "extend the field" rather than
-returning a wrong count.
+Everything is exact.  The radical comes from the trace-form criterion,
+valid in characteristic 0 or p > dim A; smaller p raises
+`TraceFormLimitError`.  Simple-module counts go through the center of
+the semisimple quotient: central idempotents are split off using the
+rational (or F_p) roots of minimal polynomials, and each block is
+certified split by exhibiting a minimal left ideal whose dimension
+squares to the block dimension.  A non-split block (e.g. a quaternion
+algebra over Q) raises with "extend the field" rather than returning a
+wrong count.
 
 The Ext oracle builds a free resolution by covering tops (free cover of
 M/rad.M, kernel, repeat), applies Hom(-, N) and takes cohomology; it
@@ -31,6 +32,12 @@ from .linalg import Matrix, eliminate, inverse, solve, quotient_representatives
 class NotSplitError(ValueError):
     """The semisimple quotient does not split over the ground field: the
     count needs a field extension, which this engine does not make."""
+
+
+class TraceFormLimitError(ValueError):
+    """Characteristic p <= dim A, where the trace-form radical is not
+    defined.  A limit of the method: an extension of F_p keeps
+    characteristic p, so no field extension lifts it."""
 
 
 class OrdinaryAlgebra:
@@ -159,9 +166,10 @@ def radical(A: OrdinaryAlgebra):
     """
     p = getattr(A.field, "characteristic", 0)
     if p and p <= A.n:
-        raise ValueError(
-            f"radical via the trace form needs characteristic 0 or > dim; "
-            f"got p={p} <= dim={A.n}: extend the field")
+        raise TraceFormLimitError(
+            f"the trace-form radical needs characteristic 0 or p > dim A; "
+            f"got p={p} <= dim A={A.n}, a limit of this method that no "
+            f"field extension lifts")
     L = [A.left_mult_matrix(A.algebra.basis_vec(i)) for i in range(A.n)]
     gram = Matrix(A.field, A.n, A.n)
     for i in range(A.n):

@@ -14,7 +14,7 @@ from bardual.algebras import (CurvedAlgebra, CurvedModule, CurvedMorphism,
                               regular_bimodule, regular_module, validate)
 from bardual.bar import hochschild_direct
 from bardual.catalog import builtin_algebra, builtin_module, BUILTIN_ALGEBRAS
-from bardual.fields import QQ
+from bardual.fields import GF, QQ
 from bardual.graded import (GradedMap, GradedVectorSpace, cohomology,
                             is_quasi_iso)
 from bardual.sampling import random_dg_algebra
@@ -130,9 +130,10 @@ def brute_force_failures(mult, action, adiff, xdiff, adeg, na, nx):
     return assoc, leibniz
 
 
-def random_bump(rng, table, key_degrees, target_degrees, shift):
+def random_bump(rng, table, key_degrees, target_degrees, shift, draw=None):
     """`table` with a random nonzero constant added at a random place whose
-    target degree is the sum of the key degrees plus `shift`."""
+    target degree is the sum of the key degrees plus `shift`.  `draw(rng)`
+    gives the constant; by default it is drawn from {-2, -1, 1, 3}/{1, 2}."""
     places = []
     for key in itertools.product(*(range(len(d)) for d in key_degrees)):
         want = sum(d[k] for d, k in zip(key_degrees, key)) + shift
@@ -141,7 +142,10 @@ def random_bump(rng, table, key_degrees, target_degrees, shift):
     if not places:
         return None
     key, target = rng.choice(places)
-    c = QQ(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2]))
+    if draw is None:
+        c = QQ(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2]))
+    else:
+        c = draw(rng)
     return bumped(table, key, target, c)
 
 
@@ -177,6 +181,47 @@ def test_joined_validation_matches_brute_force():
                          check=False)
         cases.append((N.validate(), "module-", brute_force_failures(
             A.mult, act, A.diff, {}, deg, n, 1)))
+    failing = 0
+    for rep, prefix, (assoc, leibniz) in cases:
+        witnesses = {}
+        for f in rep.failures:
+            witnesses.setdefault(f.identity, []).append(f.witness)
+        assoc_name = "action-associativity" if prefix else "associativity"
+        assert witnesses.get(assoc_name, []) == assoc, rep
+        assert witnesses.get(prefix + "leibniz", []) == leibniz, rep
+        failing += bool(assoc or leibniz)
+    assert failing >= len(cases) // 2, (failing, len(cases))
+
+
+# Over F_7 the integer joins reduce a difference mod 7 only when they
+# test it; over Q the bumps bring in the denominators 2, 3 and 6, so the
+# common denominator the joins clear is larger than 2.
+@pytest.mark.parametrize("field, draw", [
+    (GF(7), lambda rng: GF(7)(rng.randrange(1, 7))),
+    (QQ, lambda rng: rng.choice([QQ(1, 3), QQ(-3, 2), QQ(5, 6)])),
+], ids=["F7", "Q-mixed-denominators"])
+def test_integer_joins_match_brute_force(field, draw):
+    rng = random.Random(23)
+    cases = []
+    for seed in range(30):
+        A = random_dg_algebra(field, seed)
+        M = dual_regular_module(A, check=False)
+        n, deg, mdeg = A.dim, A.degree, M.degree
+        mult = random_bump(rng, A.mult, (deg, deg), deg, 0, draw)
+        diff = random_bump(rng, A.diff, (deg,), deg, 1, draw)
+        for m, d in ((mult, A.diff), (A.mult, diff)):
+            if m is not None and d is not None:
+                rep = CurvedAlgebra(field, A.space, A.unit, m, d,
+                                    check=False).validate()
+                cases.append((rep, "",
+                              brute_force_failures(m, m, d, d, deg, n, n)))
+        action = random_bump(rng, M.action, (deg, mdeg), mdeg, 0, draw)
+        mdiff = random_bump(rng, M.diff, (mdeg,), mdeg, 1, draw)
+        for act, md in ((action, M.diff), (M.action, mdiff)):
+            if act is not None and md is not None:
+                rep = CurvedModule(A, M.space, act, md, check=False).validate()
+                cases.append((rep, "module-", brute_force_failures(
+                    A.mult, act, A.diff, md, deg, n, M.dim)))
     failing = 0
     for rep, prefix, (assoc, leibniz) in cases:
         witnesses = {}

@@ -305,3 +305,17 @@ def test_bad_input_is_one_line_with_exit_2(argv, capsys):
     assert main(argv) == 2
     out = capsys.readouterr().out
     assert out.startswith("error: ") and out.count("\n") == 1, out
+
+
+@pytest.mark.parametrize("argv", [
+    ["morita", "--algebra", "mat2", "--field", "F3"],
+    ["koszul-check", "--algebra", "mat2", "--module", "A", "--field", "F3",
+     "--truncation", "3"],
+    ["simples", "--algebra", "mat2", "--field", "F3"],
+], ids=["morita", "koszul-check", "simples"])
+def test_trace_form_characteristic_limit_exits_2(argv, capsys):
+    # p = 3 <= dim mat2 = 4: the trace-form radical is refused as input
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1, out
+    assert "trace-form radical" in out and "extend the field" not in out

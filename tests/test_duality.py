@@ -298,3 +298,20 @@ def test_functor_F_rejects_E_at_another_truncation():
     E = hochschild_via_twist(A, 3, M=M, check=False)
     with pytest.raises(ValueError, match="W=3"):
         functor_F(M, M, 4, E=E, check=False)
+
+
+def test_functor_F_rejects_E_for_another_coefficient_module():
+    A = builtin_algebra("dual_numbers")
+    k, MA, MD = (builtin_module(A, "dual_numbers", name)
+                 for name in ("k", "A", "Adual"))
+    # End(k) and End(A) have different labels
+    E = hochschild_via_twist(A, 3, M=k, check=False)
+    with pytest.raises(ValueError, match="another coefficient module"):
+        functor_F(k, MA, 3, E=E, check=False)
+    # A and Adual share their labels and End algebra, but not the action
+    E = hochschild_via_twist(A, 3, M=MD, check=False)
+    with pytest.raises(ValueError, match="another coefficient module"):
+        functor_F(MA, MA, 3, E=E, check=False)
+    # the E built for M itself is accepted
+    E = hochschild_via_twist(A, 3, M=MA, check=False)
+    assert functor_F(k, MA, 3, E=E, check=False)[0] is E
