@@ -10,7 +10,7 @@ Usage: python3 scripts/koszul_table.py [W]
 import sys
 import time
 
-from bardual.bar import hochschild_direct
+from bardual.bar import hochschild_cochains
 from bardual.catalog import builtin_algebra, builtin_module
 from bardual.graded import cohomology
 from bardual.morita import OrdinaryAlgebra, OrdinaryModule, ext_oracle
@@ -30,8 +30,8 @@ def main():
         t0 = time.monotonic()
         A = builtin_algebra(an)
         M = builtin_module(A, an, mn)
-        E = hochschild_direct(A, M, W, check=False)
-        coh = cohomology(E.as_complex(), (0, W - 2))
+        C = hochschild_cochains(A, M, W, check=False).as_complex()
+        coh = cohomology(C, (0, W - 2))
         Ao = OrdinaryAlgebra(A)
         Mo = OrdinaryModule.from_curved(Ao, M)
         ext = ext_oracle(Ao, Mo, Mo, W - 2)

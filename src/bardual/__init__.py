@@ -20,9 +20,9 @@ from .twisting import (MCResult, is_mc, mc_residual, twist_algebra,
                        twist_module, untwist_algebra, untwist_module)
 from .bar import (FakeAugmentation, TruncatedTensorAlgebra,
                   augmentation_defects, bar_resolution_module, canonical_mc,
-                  fake_augmentation, hochschild_direct, hochschild_via_twist,
-                  identity_delta, reduced_bar, trivial_algebra,
-                  unreduced_bar)
+                  fake_augmentation, hochschild_cochains, hochschild_direct,
+                  hochschild_via_twist, identity_delta, reduced_bar,
+                  trivial_algebra, unreduced_bar)
 from .duality import (HomOverEnd, functor_F, functor_F_on_map,
                       functor_G, morita_prime_F,
                       morita_prime_G, prime_counit_iso, prime_unit_iso,

@@ -296,14 +296,8 @@ class CurvedAlgebra:
     def is_uncurved(self):
         return not self.curvature
 
-    def degree_of(self, x: dict):
-        degs = {self.degree[i] for i in x}
-        if len(degs) > 1:
-            raise ValueError(f"inhomogeneous element (degrees {sorted(degs)})")
-        return degs.pop() if degs else None
-
     def diff_map(self) -> GradedMap:
-        return _table_to_map(self, self.diff, 1)
+        return _table_to_map(self.field, self.space, self.diff, 1)
 
     def as_complex(self) -> Complex:
         return Complex(self.field, self.space, self.diff_map())
@@ -385,27 +379,26 @@ class CurvedAlgebra:
         return f"CurvedAlgebra({kind}, dim={self.dim})"
 
 
-def _table_to_map(obj, table, degree):
-    """Sparse column table over flat indices -> GradedMap on obj.space.
+def _table_to_map(field, space, table, degree):
+    """Sparse column table over the flat indices of `space` -> GradedMap.
 
     Each block keeps the table's sparse columns, re-indexed to positions
     within the target degree; no dense block is ever filled.
     """
-    field = obj.field
-    pos = {}
-    for d, idxs in obj.by_degree.items():
-        for p, i in enumerate(idxs):
-            pos[i] = p
+    start, first = {}, 0      # the flat basis runs through degrees in order
+    for d in space.degrees:
+        start[d], first = first, first + space.dim(d)
     blocks = {}
-    for d, idxs in obj.by_degree.items():
-        tgt = obj.by_degree.get(d + degree)
-        if not tgt:
+    for d in space.degrees:
+        rows = space.dim(d + degree)
+        if not rows:
             continue
-        cols = [{pos[k]: v for k, v in table.get(i, {}).items()}
-                for i in idxs]
+        t = start[d + degree]
+        cols = [{k - t: v for k, v in table.get(i, {}).items()}
+                for i in range(start[d], start[d] + space.dim(d))]
         if any(cols):
-            blocks[d] = Matrix.from_columns(field, len(tgt), cols)
-    return GradedMap(field, obj.space, obj.space, degree, blocks)
+            blocks[d] = Matrix.from_columns(field, rows, cols)
+    return GradedMap(field, space, space, degree, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +447,7 @@ class CurvedModule:
         return out
 
     def diff_map(self) -> GradedMap:
-        return _table_to_map(self, self.diff, 1)
+        return _table_to_map(self.field, self.space, self.diff, 1)
 
     def as_complex(self) -> Complex:
         return Complex(self.field, self.space, self.diff_map())

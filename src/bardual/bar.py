@@ -38,7 +38,9 @@ element.
 `hochschild_direct` takes only the basis: its cup product, its dual
 tables of d and of the product, and its end terms stay its own code,
 because the `direct-equals-twist` checks certify them against the
-twisted bar, and a shared kernel would certify itself.
+twisted bar, and a shared kernel would certify itself.  Its cochain
+complex, `hochschild_cochains`, is all that `koszul-check` builds; the
+eager cup product is added on top only by `hochschild_direct`.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .algebras import (CurvedAlgebra, CurvedModule, CurvedMorphism,
-                       change_basis, endomorphism_algebra, identity_morphism,
-                       module_action_map, pullback_module)
-from .graded import GradedVectorSpace
+                       _table_to_map, change_basis, endomorphism_algebra,
+                       identity_morphism, module_action_map, pullback_module)
+from .graded import Complex, GradedVectorSpace
 from .linalg import Matrix
 from .sparse import viadd
 from .twisting import twist_algebra, twist_module
@@ -414,15 +416,28 @@ def hochschild_via_twist(A: CurvedAlgebra, W: int, M: CurvedModule = None,
     return out
 
 
-def hochschild_direct(A: CurvedAlgebra, M: CurvedModule, W: int,
-                      check=True) -> TruncatedTensorAlgebra:
+class HochschildCochains:
+    """`hochschild_direct` without its product: End(M) is `coeff`, delta
+    the action map A -> End(M), gens (source basis index, degree).  A
+    plain class, since a dataclass costs about 0.5 ms at every import."""
+
+    def __init__(self, aug, coeff, delta, gens, word_basis, diff):
+        self.aug, self.coeff, self.delta = aug, coeff, delta
+        self.gens, self.word_basis, self.diff = gens, word_basis, diff
+
+    def as_complex(self) -> Complex:
+        field, space = self.coeff.field, self.word_basis.space
+        return Complex(field, space, _table_to_map(field, space, self.diff, 1))
+
+
+def hochschild_cochains(A: CurvedAlgebra, M: CurvedModule, W: int,
+                        check=True) -> HochschildCochains:
     """Reduced Hochschild cochains of A with coefficients in End(M),
     truncated at word length W, built directly (no twisting machinery).
 
     The differential is the sum of (1) internal duals on each letter,
     (2) the End(M) differential, (3) contraction duals splitting a letter,
     and the two end terms given by the commutator with the action map.
-    Cross-checked against hochschild_via_twist term by term in the tests.
     """
     if W < 0:
         raise ValueError("truncation length must be >= 0")
@@ -443,18 +458,6 @@ def hochschild_direct(A: CurvedAlgebra, M: CurvedModule, W: int,
     qdeg = [1 - d for d in gdeg]
     wb = WordBasis(gdeg, W, range(endm.dim), endm.degree)
     words, wdeg, idx = wb.words, wb.wdeg, wb.idx
-
-    # cup product: (u (x) S)(v (x) T) = (-1)^{|S||v|} uv (x) S o T
-    mult = {}
-    for u in words:
-        for v in words:
-            if len(u) + len(v) > W:
-                break       # the basis orders words by length
-            uv = u + v
-            for (c, c2), prod in endm.mult.items():
-                sgn = -one if (endm.degree[c] * wdeg[v]) % 2 else one
-                col = {idx(uv, k): sgn * cc for k, cc in prod.items()}
-                mult[(idx(u, c), idx(v, c2))] = col
 
     # positional differential; both tables are keyed by the letter being
     # rewritten, i.e. they encode the duals of d and of multiplication
@@ -528,10 +531,35 @@ def hochschild_direct(A: CurvedAlgebra, M: CurvedModule, W: int,
             if col:
                 diff[idx(w, ci)] = col
 
+    return HochschildCochains(aug, endm, delta, gens, wb, diff)
+
+
+def hochschild_direct(A: CurvedAlgebra, M: CurvedModule, W: int,
+                      check=True) -> TruncatedTensorAlgebra:
+    """`hochschild_cochains` plus the cup product, which is built eagerly:
+    `direct-equals-twist.mult` certifies it against hochschild_via_twist,
+    so every caller of the whole algebra reads it at once, and a lazy
+    table would only move its cost into whichever stage reads it first."""
+    H = hochschild_cochains(A, M, W, check=check)
+    field, endm, wb = A.field, H.coeff, H.word_basis
+    words, wdeg, idx, one = wb.words, wb.wdeg, wb.idx, field.one
+
+    # cup product: (u (x) S)(v (x) T) = (-1)^{|S||v|} uv (x) S o T
+    mult = {}
+    for u in words:
+        for v in words:
+            if len(u) + len(v) > W:
+                break       # the basis orders words by length
+            uv = u + v
+            for (c, c2), prod in endm.mult.items():
+                sgn = -one if (endm.degree[c] * wdeg[v]) % 2 else one
+                col = {idx(uv, k): sgn * cc for k, cc in prod.items()}
+                mult[(idx(u, c), idx(v, c2))] = col
+
     unit = {idx((), k): v for k, v in endm.unit.items()}
     return TruncatedTensorAlgebra(
-        field, wb, unit, mult, diff, {}, source=R, aug=aug, coeff=endm,
-        delta=delta, gens=gens, check=check)
+        field, wb, unit, mult, H.diff, {}, source=H.aug.algebra, aug=H.aug,
+        coeff=endm, delta=H.delta, gens=H.gens, check=check)
 
 
 def bar_resolution_module(A: CurvedAlgebra, N: CurvedModule, W: int,

@@ -18,7 +18,8 @@ Machine reports are flat "key = value" lines, deterministic byte-for-byte
 for identical inputs (timings go to stdout only, never into the report).
 Exit status is 1 when any check fails or none ran, and 2 (with a one-line
 `error:` message) when the input cannot be parsed or resolved: a bad
-field, an unreadable file, an unknown module or one the algebra lacks.
+field, an unreadable file, an unknown module or one the algebra lacks, or
+an algebra a method refuses (`morita.RefusedInput`).
 """
 
 from __future__ import annotations
@@ -30,15 +31,14 @@ import time
 from dataclasses import dataclass, field as dfield
 
 from .algebras import CurvedModule, ValidationError
-from .bar import hochschild_direct, hochschild_via_twist
+from .bar import hochschild_cochains, hochschild_direct, hochschild_via_twist
 from .catalog import (BUILTIN_ALGEBRAS, builtin_algebra, builtin_module,
                       default_module_name)
 from .fields import GF, QQ
 from .graded import GradedVectorSpace, cohomology
-from .morita import (NotSplitError, OrdinaryAlgebra, OrdinaryModule,
-                     TraceFormLimitError, count_simples,
-                     decompose_regular_semisimple, ext_oracle, gamma,
-                     injective_cogenerator, morita_unit, radical,
+from .morita import (OrdinaryAlgebra, OrdinaryModule, RefusedInput,
+                     count_simples, decompose_regular_semisimple, ext_oracle,
+                     gamma, injective_cogenerator, morita_unit, radical,
                      regular_ordinary, simple_modules)
 from .sampling import random_ordinary_module
 
@@ -291,6 +291,8 @@ class ScenarioReport:
             mark = "ok " if ok else "FAIL"
             suffix = f"  [{witness}]" if witness and not ok else ""
             out.append(f"  [{mark}] {name}{suffix}")
+        if not self.checks:
+            out.append("  [FAIL] no check ran")
         for k, v in self.values:
             out.append(f"  {k} = {v}")
         for k, v in sorted(self.timings.items()):
@@ -420,17 +422,14 @@ def scenario_koszul_check(args) -> ScenarioReport:
     rep = ScenarioReport("koszul-check")
     t0 = time.monotonic()
     A, modules, name, digest = _load(args)
+    Ao = OrdinaryAlgebra(A)     # the Ext oracle's input, refused up front
     M, mname = _pick_module(A, modules, name, args.module)
     W = args.truncation
     rep.inputs.update(algebra=name, digest=digest, module=mname,
                       truncation=W, field=A.field.name)
-    if set(A.space.degrees) - {0} or A.diff:
-        rep.check("ordinary-algebra", False,
-                  "the Ext oracle needs an ordinary algebra")
-        return rep
-    E = hochschild_direct(A, M, W, check=False)
-    coh = cohomology(E.as_complex(), (0, W - 2))
-    Ao = OrdinaryAlgebra(A)
+    # only the differential of E is read, so no cup product is built
+    C = hochschild_cochains(A, M, W, check=False).as_complex()
+    coh = cohomology(C, (0, W - 2))
     Mo = OrdinaryModule.from_curved(Ao, M)
     ext = ext_oracle(Ao, Mo, Mo, W - 2)
     for n in range(W - 1):
@@ -448,9 +447,6 @@ def scenario_morita(args) -> ScenarioReport:
     t0 = time.monotonic()
     A, modules, name, digest = _load(args)
     rep.inputs.update(algebra=name, digest=digest, field=A.field.name)
-    if set(A.space.degrees) - {0} or A.diff:
-        rep.check("ordinary-algebra", False, "needs an ordinary algebra")
-        return rep
     Ao = OrdinaryAlgebra(A)
     M = injective_cogenerator(Ao)
     md = gamma(Ao, M)
@@ -480,16 +476,11 @@ def scenario_simples(args) -> ScenarioReport:
     t0 = time.monotonic()
     A, modules, name, digest = _load(args)
     rep.inputs.update(algebra=name, digest=digest, field=A.field.name)
-    if set(A.space.degrees) - {0} or A.diff:
-        rep.check("ordinary-algebra", False, "needs an ordinary algebra")
-        return rep
     Ao = OrdinaryAlgebra(A)
     try:
         cnt = count_simples(Ao)
-    except NotSplitError as e:
-        raise InputError(str(e)) from None
-    except TraceFormLimitError:
-        raise               # input this method refuses: see run_scenario
+    except RefusedInput:
+        raise               # exit 2 rather than a failed check: run_scenario
     except ValueError as e:
         rep.check("split", False, str(e)[:120])
         return rep
@@ -512,14 +503,11 @@ def scenario_ext(args) -> ScenarioReport:
     rep = ScenarioReport("ext")
     t0 = time.monotonic()
     A, modules, name, digest = _load(args)
+    Ao = OrdinaryAlgebra(A)
     M, mname = _pick_module(A, modules, name, args.module)
     rep.inputs.update(algebra=name, digest=digest, module=mname,
                       field=A.field.name)
-    if set(A.space.degrees) - {0} or A.diff:
-        rep.check("ordinary-algebra", False, "needs an ordinary algebra")
-        return rep
     n_max = args.window[1] if args.window else args.truncation
-    Ao = OrdinaryAlgebra(A)
     Mo = OrdinaryModule.from_curved(Ao, M)
     dims = ext_oracle(Ao, Mo, Mo, n_max)
     for n, d in enumerate(dims):
@@ -547,9 +535,9 @@ def run_scenario(name: str, args) -> ScenarioReport:
                          f"choices: {sorted(SCENARIOS)}") from None
     try:
         return fn(args)
-    except TraceFormLimitError as e:
-        # the field's characteristic is too small for the trace-form
-        # radical: refused input, not a failed check
+    except RefusedInput as e:
+        # a non-ordinary or non-split algebra, or a characteristic below
+        # the trace-form limit: input a method refuses, not a failed check
         raise InputError(str(e)) from None
 
 

@@ -29,25 +29,33 @@ from .graded import GradedVectorSpace
 from .linalg import Matrix, eliminate, inverse, solve, quotient_representatives
 
 
-class NotSplitError(ValueError):
+class RefusedInput(ValueError):
+    """Input a method here does not take: a refusal, not a failed check."""
+
+
+class NotSplitError(RefusedInput):
     """The semisimple quotient does not split over the ground field: the
     count needs a field extension, which this engine does not make."""
 
 
-class TraceFormLimitError(ValueError):
+class TraceFormLimitError(RefusedInput):
     """Characteristic p <= dim A, where the trace-form radical is not
     defined.  A limit of the method: an extension of F_p keeps
     characteristic p, so no field extension lifts it."""
+
+
+class NotOrdinaryError(RefusedInput):
+    """A graded or dg algebra where an ordinary one is needed."""
 
 
 class OrdinaryAlgebra:
     """A finite-dimensional algebra concentrated in degree 0, zero d."""
 
     def __init__(self, algebra: CurvedAlgebra):
-        if set(algebra.space.degrees) - {0}:
-            raise ValueError("ordinary algebras live in degree 0")
-        if algebra.diff or algebra.curvature:
-            raise ValueError("ordinary algebras have no differential")
+        if set(algebra.space.degrees) - {0} or algebra.diff \
+                or algebra.curvature:
+            raise NotOrdinaryError("needs an ordinary algebra: one in "
+                                   "degree 0 with no differential")
         self.algebra = algebra
         self.field = algebra.field
         self.n = algebra.dim
@@ -105,20 +113,6 @@ class OrdinaryModule:
                     if v:
                         m.data[r][s] = m.data[r][s] + c * v
         return m
-
-    def to_curved(self) -> CurvedModule:
-        space = GradedVectorSpace({0: [("m", i) for i in range(self.dim)]})
-        action = {}
-        for i in range(self.A.n):
-            for j in range(self.dim):
-                col = {}
-                for k in range(self.dim):
-                    c = self.mats[i].data[k][j]
-                    if c:
-                        col[k] = c
-                if col:
-                    action[(i, j)] = col
-        return CurvedModule(self.A.algebra, space, action, {})
 
     @classmethod
     def from_curved(cls, A: OrdinaryAlgebra, M: CurvedModule, check=True):
@@ -667,14 +661,6 @@ class MoritaData:
     gamma: OrdinaryAlgebra
     gamma_mats: list  # basis of End_A(M) as matrices
     solver: Matrix    # expresses an intertwiner in the gamma basis
-
-    def gamma_coords(self, mat: Matrix):
-        flat = [mat.data[r][c] for r in range(mat.rows)
-                for c in range(mat.cols)]
-        x = solve(self.solver, flat)
-        if x is None:
-            raise ValueError("matrix is not an A-endomorphism of M")
-        return x
 
 
 def gamma(A: OrdinaryAlgebra, M: OrdinaryModule) -> MoritaData:

@@ -1,0 +1,100 @@
+"""Every CLI run ends in a pass, a named failed check or a one-line refusal.
+
+The grid is every scenario over the builtin algebras, the sample algebra
+files and a quaternion algebra (not split over Q), over Q, F_3 and F_7,
+with the modules k, A and Adual and truncations 0 and 2.  A run counts
+once per distinct input: `verify`, `morita` and `simples` read neither
+--module nor --truncation, and a file algebra fixes its own field.  File
+algebras run at truncation 0 only: past it they add no refusal path, only
+the builtins' computations on a larger algebra (the oracle's resolution
+of upper_tri_3 with Adual at W = 2 alone takes about 2 s).
+"""
+
+import io
+import pathlib
+import traceback
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from bardual.catalog import BUILTIN_ALGEBRAS
+from bardual.cli import SCENARIOS, main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SAMPLES = sorted((ROOT / "scripts" / "sample_algebras").glob("*.alg"))
+QUATERNIONS = """\
+field Q
+basis 1 0
+basis i 0
+basis j 0
+basis k 0
+unit 1
+mul i i = -1*1
+mul j j = -1*1
+mul k k = -1*1
+mul i j = 1*k
+mul j i = -1*k
+mul j k = 1*i
+mul k j = -1*i
+mul k i = 1*j
+mul i k = -1*j
+"""
+MODULE_FREE = ("verify", "morita", "simples")
+
+
+def sweep_runs(files):
+    runs = []
+    for scenario in sorted(SCENARIOS):
+        for algebra in sorted(BUILTIN_ALGEBRAS) + files:
+            fields = ([["--field", f] for f in ("Q", "F3", "F7")]
+                      if algebra in BUILTIN_ALGEBRAS else [[]])
+            truncations = (("0", "2") if algebra in BUILTIN_ALGEBRAS
+                           else ("0",))
+            rest = ([[]] if scenario in MODULE_FREE else
+                    [["--module", m, "--truncation", W]
+                     for m in ("k", "A", "Adual") for W in truncations])
+            runs += [[scenario, "--algebra", algebra] + f + r
+                     for f in fields for r in rest]
+    return runs
+
+
+def outcome(argv):
+    """(exit status or traceback text, stdout)."""
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(argv)
+    except (Exception, SystemExit):
+        code = traceback.format_exc(limit=-2)
+    return code, out.getvalue()
+
+
+def test_every_run_passes_fails_a_named_check_or_is_refused(tmp_path):
+    quat = tmp_path / "quat.alg"
+    quat.write_text(QUATERNIONS)
+    bad = []
+    for argv in sweep_runs([str(p) for p in SAMPLES] + [str(quat)]):
+        code, out = outcome(argv)
+        lines = out.splitlines()
+        if code == 2:
+            ok = len(lines) == 1 and lines[0].startswith("error: ")
+        elif code == 1:
+            ok = any("[FAIL]" in line for line in lines)
+        else:
+            ok = code == 0
+        if not ok:
+            bad.append((argv, code, out[-200:]))
+    assert not bad, f"{len(bad)} runs: {bad[:3]}"
+
+
+@pytest.mark.parametrize("scenario", ["koszul-check", "morita", "simples",
+                                      "ext"])
+def test_non_ordinary_algebra_is_refused(scenario, capsys, monkeypatch):
+    def no_build(*a, **k):
+        raise AssertionError("built something for refused input")
+    monkeypatch.setattr("bardual.cli.hochschild_cochains", no_build)
+    assert main([scenario, "--algebra", "acyclic2", "--module", "A",
+                 "--truncation", "3"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1, out
+    assert "ordinary algebra" in out
