@@ -379,6 +379,15 @@ class CurvedAlgebra:
         return f"CurvedAlgebra({kind}, dim={self.dim})"
 
 
+def _block(field, table, cols, rows):
+    """The matrix of `table` (index -> sparse vector) from the basis indices
+    `cols` to the basis indices `rows`."""
+    pos = {k: p for p, k in enumerate(rows)}
+    return Matrix.from_columns(
+        field, len(rows),
+        [{pos[k]: v for k, v in table.get(i, {}).items()} for i in cols])
+
+
 def _table_to_map(field, space, table, degree):
     """Sparse column table over the flat indices of `space` -> GradedMap.
 
@@ -558,12 +567,7 @@ class ModuleMap:
                 return False
             if not rows:
                 continue
-            pos = {k: p for p, k in enumerate(rows)}
-            m = Matrix(S.field, len(rows), len(cols))
-            for c, i in enumerate(cols):
-                for k, v in self.blocks.get(i, {}).items():
-                    m.data[pos[k]][c] = v
-            if inverse(m) is None:
+            if inverse(_block(S.field, self.blocks, cols, rows)) is None:
                 return False
         return True
 
@@ -633,20 +637,10 @@ class CurvedMorphism:
 
     def as_graded_map(self) -> GradedMap:
         field = self.field
-        tpos = {}
-        for d, idxs in self.target.by_degree.items():
-            for p, i in enumerate(idxs):
-                tpos[i] = p
         blocks = {}
         for d, idxs in self.source.by_degree.items():
-            tgt = self.target.by_degree.get(d, [])
-            m = Matrix(field, len(tgt), len(idxs))
-            hit = False
-            for c, i in enumerate(idxs):
-                for k, v in self.f.get(i, {}).items():
-                    m.data[tpos[k]][c] = v
-                    hit = True
-            if hit:
+            m = _block(field, self.f, idxs, self.target.by_degree.get(d, []))
+            if not m.is_zero():
                 blocks[d] = m
         return GradedMap(field, self.source.space, self.target.space, 0,
                          blocks)
@@ -682,21 +676,12 @@ def invert_morphism(m: CurvedMorphism, check=True) -> CurvedMorphism:
             raise ValueError("not a linear isomorphism")
         if not rows:
             continue
-        pos = {k: p for p, k in enumerate(rows)}
-        mat = Matrix(S.field, len(rows), len(cols))
-        for c, i in enumerate(cols):
-            for k, v in m.f.get(i, {}).items():
-                mat.data[pos[k]][c] = v
-        inv = inverse(mat)
+        inv = inverse(_block(S.field, m.f, cols, rows))
         if inv is None:
             raise ValueError("not a linear isomorphism")
-        for c, k in enumerate(rows):
-            col = {}
-            for r, i in enumerate(cols):
-                if inv.data[r][c]:
-                    col[i] = inv.data[r][c]
+        for k, col in zip(rows, inv.columns()):
             if col:
-                finv[k] = col
+                finv[k] = {cols[r]: v for r, v in col.items()}
     out = CurvedMorphism(T, S, finv, {}, check=False)
     out.a = vneg(out.apply(m.a))
     if check:
@@ -1066,14 +1051,9 @@ def free_module(A: CurvedAlgebra, V: GradedVectorSpace,
         for vd, idxs in per_degree.items():
             blk = dV.block(vd)
             tgt = per_degree.get(vd + 1, [])
-            for cpos, j in enumerate(idxs):
-                col = {}
-                for rpos, k in enumerate(tgt):
-                    c = blk.data[rpos][cpos]
-                    if c:
-                        col[k] = c
+            for j, col in zip(idxs, blk.columns()):
                 if col:
-                    dv_cols[j] = col
+                    dv_cols[j] = {tgt[r]: c for r, c in col.items()}
     diff = {}
     for i in range(A.dim):
         da = A.diff.get(i)
@@ -1134,16 +1114,10 @@ def endomorphism_algebra(space: GradedVectorSpace, dmap: GradedMap | None,
     curv = {}
     if not dm.is_zero():
         def d_entries(p):
-            blk = dm.block(p)
-            out = []
-            labels_p = space.labels(p)
             labels_q = space.labels(p + 1)
-            for ia, a in enumerate(labels_p):
-                for ib, b in enumerate(labels_q):
-                    c = blk.data[ib][ia]
-                    if c:
-                        out.append((a, b, c))
-            return out
+            return [(a, labels_q[ib], c) for a, col in
+                    zip(space.labels(p), dm.block(p).columns())
+                    for ib, c in col.items()]
 
         for n, (src, tgt) in basis:
             i = index[(n, (src, tgt))]
@@ -1164,12 +1138,10 @@ def endomorphism_algebra(space: GradedVectorSpace, dmap: GradedMap | None,
         # curvature element = d o d as an endomorphism
         dd = dm.compose(dm)
         for p in space.degrees:
-            blk = dd.block(p)
-            for ia, a in enumerate(space.labels(p)):
-                for ib, b in enumerate(space.labels(p + 2)):
-                    c = blk.data[ib][ia]
-                    if c:
-                        viadd(curv, {unit_idx(p, a, p + 2, b): c})
+            labels_q = space.labels(p + 2)
+            for a, col in zip(space.labels(p), dd.block(p).columns()):
+                for ib, c in col.items():
+                    viadd(curv, {unit_idx(p, a, p + 2, labels_q[ib]): c})
     return CurvedAlgebra(field, espace, unit, mult, diff, curv, check=check)
 
 

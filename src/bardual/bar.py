@@ -109,11 +109,9 @@ def fake_augmentation(A: CurvedAlgebra) -> FakeAugmentation:
         i0 = min(A.unit)
         d0 = A.by_degree[0]
         pos = {k: p for p, k in enumerate(d0)}
-        m = Matrix.identity(A.field, len(d0))
-        for c in range(len(d0)):
-            m.data[pos[i0]][c] = A.field.zero
-        for k, v in A.unit.items():
-            m.data[pos[k]][pos[i0]] = v
+        cols = [{c: A.field.one} for c in range(len(d0))]
+        cols[pos[i0]] = {pos[k]: v for k, v in A.unit.items()}
+        m = Matrix.from_columns(A.field, len(d0), cols)
         rebased = change_basis(A, {0: m}, check=True)
         unit_idx = i0
         f = {}

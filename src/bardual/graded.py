@@ -14,7 +14,7 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 from .linalg import (Matrix, eliminate, quotient_representatives, rank,
-                     solve)
+                     solve, solve_matrix)
 
 
 class GradedVectorSpace:
@@ -404,14 +404,14 @@ def is_quasi_iso(f: GradedMap, C: Complex, D: Complex, window) -> bool:
         _, _, imD = eliminate(D.d.block(n - 1))
         basis_cols = hD[n].representatives + imD
         basis = Matrix.from_cols(D.field, basis_cols, rows_hint=D.space.dim(n))
-        induced = Matrix(D.field, b, b)
-        for j, rep in enumerate(hC[n].representatives):
-            img = f.block(n).apply(rep)
-            x = solve(basis, img)
-            if x is None:
-                raise AssertionError("chain map image escaped the cocycles")
-            for i in range(b):
-                induced.data[i][j] = x[i]
+        images = Matrix.from_cols(D.field, [f.block(n).apply(rep) for rep
+                                            in hC[n].representatives],
+                                  rows_hint=D.space.dim(n))
+        xs = solve_matrix(basis, images)
+        if xs is None:
+            raise AssertionError("chain map image escaped the cocycles")
+        induced = Matrix.from_columns(D.field, b, [
+            {i: v for i, v in x.items() if i < b} for x in xs.columns()])
         r, _, _ = eliminate(induced)
         if r != b:
             return False

@@ -1,13 +1,11 @@
 """Exact sparse linear algebra: rank, kernel/image bases and solving, all
 answered by one column elimination.
 
-A `Matrix` is held either as sparse columns -- dicts {row: coefficient}
-with no zero stored, the vector convention of `sparse` -- or as dense
-row-major lists.  Matrices built from columns (the blocks of a
-differential read off a structure table, products, sums, transposes)
-stay sparse.  Reading `data` turns a matrix into dense rows for good,
-because callers may write through it; a dense matrix is scanned into
-columns each time it is eliminated.
+A `Matrix` is held as sparse columns: dicts {row: coefficient} with no
+zero stored, the vector convention of `sparse`, so equal matrices have
+equal columns.  Dense rows are accepted as input only (`from_rows`, the
+`data` argument) and turned into columns on entry; callers build a
+matrix from its columns and read it through `columns()` and `col()`.
 
 `ColumnEchelon` reduces the columns left to right against the span of
 the independent columns before them ("first-pivot convention").  Its
@@ -23,20 +21,20 @@ from .sparse import vadd, viadd, vneg, vscale
 
 
 class Matrix:
-    __slots__ = ("field", "rows", "cols", "_data", "_columns")
+    __slots__ = ("field", "rows", "cols", "_columns")
 
     def __init__(self, field, rows: int, cols: int, data=None):
+        """The zero matrix of this shape, or the one with dense rows `data`."""
         self.field = field
         self.rows = rows
         self.cols = cols
         if data is None:
-            self._data = None
             self._columns = [{} for _ in range(cols)]
         else:
             if len(data) != rows or any(len(r) != cols for r in data):
                 raise ValueError("matrix data does not match shape")
-            self._data = [list(r) for r in data]
-            self._columns = None
+            self._columns = [{i: row[j] for i, row in enumerate(data)
+                              if row[j]} for j in range(cols)]
 
     @classmethod
     def from_columns(cls, field, rows: int, columns):
@@ -45,7 +43,6 @@ class Matrix:
         m.field = field
         m.rows = rows
         m.cols = len(columns)
-        m._data = None
         m._columns = list(columns)
         return m
 
@@ -66,35 +63,12 @@ class Matrix:
         one = field.one
         return cls.from_columns(field, n, [{i: one} for i in range(n)])
 
-    @property
-    def data(self):
-        """Dense rows.  The matrix is dense from here on: the rows may be
-        written through."""
-        if self._data is None:
-            z = self.field.zero
-            data = [[z] * self.cols for _ in range(self.rows)]
-            for j, col in enumerate(self._columns):
-                for i, v in col.items():
-                    data[i][j] = v
-            self._data = data
-            self._columns = None
-        return self._data
-
     def columns(self):
         """Sparse columns {row: coefficient}; read only."""
-        if self._columns is not None:
-            return self._columns
-        data = self._data
-        return [{i: row[j] for i, row in enumerate(data) if row[j]}
-                for j in range(self.cols)]
+        return self._columns
 
     def col(self, j):
-        if self._columns is None:
-            return [row[j] for row in self._data]
-        out = [self.field.zero] * self.rows
-        for i, v in self._columns[j].items():
-            out[i] = v
-        return out
+        return _dense(self._columns[j], self.rows, self.field.zero)
 
     def transpose(self):
         out = [{} for _ in range(self.rows)]

@@ -26,7 +26,9 @@ from fractions import Fraction
 
 from .algebras import CurvedAlgebra, CurvedModule
 from .graded import GradedVectorSpace
-from .linalg import Matrix, eliminate, inverse, solve, quotient_representatives
+from .linalg import (Matrix, eliminate, inverse, quotient_representatives,
+                     solve, solve_matrix)
+from .sparse import viadd
 
 
 class RefusedInput(ValueError):
@@ -67,12 +69,10 @@ class OrdinaryAlgebra:
         return dict(self.algebra.unit)
 
     def left_mult_matrix(self, vec) -> Matrix:
-        m = Matrix(self.field, self.n, self.n)
-        for j in range(self.n):
-            out = self.algebra.mul(vec, self.algebra.basis_vec(j))
-            for k, c in out.items():
-                m.data[k][j] = c
-        return m
+        A = self.algebra
+        return Matrix.from_columns(self.field, self.n,
+                                   [A.mul(vec, A.basis_vec(j))
+                                    for j in range(self.n)])
 
     def __repr__(self):
         return f"OrdinaryAlgebra(dim={self.n})"
@@ -105,24 +105,18 @@ class OrdinaryModule:
                     raise ValueError(f"action not associative at ({i},{j})")
 
     def act_matrix(self, vec) -> Matrix:
-        m = Matrix(self.field, self.dim, self.dim)
+        cols = [{} for _ in range(self.dim)]
         for i, c in vec.items():
-            for r in range(self.dim):
-                for s in range(self.dim):
-                    v = self.mats[i].data[r][s]
-                    if v:
-                        m.data[r][s] = m.data[r][s] + c * v
-        return m
+            for acc, col in zip(cols, self.mats[i].columns()):
+                viadd(acc, col, c)
+        return Matrix.from_columns(self.field, self.dim, cols)
 
     @classmethod
     def from_curved(cls, A: OrdinaryAlgebra, M: CurvedModule, check=True):
-        mats = []
-        for i in range(A.n):
-            m = Matrix(A.field, M.dim, M.dim)
-            for j in range(M.dim):
-                for k, c in M.action.get((i, j), {}).items():
-                    m.data[k][j] = c
-            mats.append(m)
+        mats = [Matrix.from_columns(A.field, M.dim,
+                                    [dict(M.action.get((i, j), {}))
+                                     for j in range(M.dim)])
+                for i in range(A.n)]
         return cls(A, mats, check=check)
 
     def __repr__(self):
@@ -138,13 +132,11 @@ def injective_cogenerator(A: OrdinaryAlgebra) -> OrdinaryModule:
     """A* with (a.phi)(b) = phi(ba)."""
     mats = []
     for i in range(A.n):
-        m = Matrix(A.field, A.n, A.n)
-        for j in range(A.n):
-            for k in range(A.n):
-                prod = A.algebra.mult.get((k, i))
-                if prod and j in prod:
-                    m.data[k][j] = prod[j]
-        mats.append(m)
+        cols = [{} for _ in range(A.n)]
+        for k in range(A.n):
+            for j, c in A.algebra.mult.get((k, i), {}).items():
+                cols[j][k] = c
+        mats.append(Matrix.from_columns(A.field, A.n, cols))
     return OrdinaryModule(A, mats, check=False)
 
 
@@ -165,14 +157,14 @@ def radical(A: OrdinaryAlgebra):
             f"got p={p} <= dim A={A.n}, a limit of this method that no "
             f"field extension lifts")
     L = [A.left_mult_matrix(A.algebra.basis_vec(i)) for i in range(A.n)]
-    gram = Matrix(A.field, A.n, A.n)
-    for i in range(A.n):
-        for j in range(A.n):
-            prod = L[i] @ L[j]
-            t = A.field.zero
-            for d in range(A.n):
-                t = t + prod.data[d][d]
-            gram.data[i][j] = t
+    zero = A.field.zero
+
+    def trace(m):
+        return sum((col.get(d, zero) for d, col in enumerate(m.columns())),
+                   zero)
+
+    gram = Matrix.from_rows(A.field, [[trace(Li @ Lj) for Lj in L]
+                                      for Li in L])
     _, kernel, _ = eliminate(gram)
     return kernel
 
@@ -620,21 +612,40 @@ def _intertwiner_system(field, mats_m, mats_n):
     basis of A acting on M and on N.
 
     The unknown phi (dim N x dim M) is flattened row by row, entry (r, c)
-    at r * dim M + c; one equation per basis element of A and entry of
-    phi . rho_M(e_i) - rho_N(e_i) . phi = 0.
+    at r * dim M + c; one equation per basis element e of A and entry
+    (r, c) of phi . rho_M(e) - rho_N(e) . phi = 0, at row
+    (e * dim N + r) * dim M + c.
     """
     dm, dn = mats_m[0].rows, mats_n[0].rows
-    rows = []
-    for mm, mn in zip(mats_m, mats_n):
-        for r in range(dn):
-            for c in range(dm):
-                row = [field.zero] * (dn * dm)
-                for k in range(dm):
-                    row[r * dm + k] = row[r * dm + k] + mm.data[k][c]
-                for k in range(dn):
-                    row[k * dm + c] = row[k * dm + c] - mn.data[r][k]
-                rows.append(row)
-    return Matrix.from_rows(field, rows)
+    cols = [{} for _ in range(dn * dm)]
+    for e, (mm, mn) in enumerate(zip(mats_m, mats_n)):
+        base = e * dn * dm
+        for c, col in enumerate(mm.columns()):
+            for k, v in col.items():
+                for r in range(dn):
+                    viadd(cols[r * dm + k], {base + r * dm + c: v})
+        for k, col in enumerate(mn.columns()):
+            for r, v in col.items():
+                for c in range(dm):
+                    viadd(cols[k * dm + c], {base + r * dm + c: -v})
+    return Matrix.from_columns(field, len(mats_m) * dn * dm, cols)
+
+
+def _flat(m: Matrix) -> dict:
+    """m flattened row by row into a sparse vector: (r, c) at r * cols + c."""
+    return {r * m.cols + c: v
+            for c, col in enumerate(m.columns()) for r, v in col.items()}
+
+
+def _coordinates(solver: Matrix, vectors, what):
+    """The sparse coordinates of each vector over the columns of `solver`,
+    from one elimination; AssertionError(what) when one is not in their
+    span."""
+    X = solve_matrix(solver, Matrix.from_columns(solver.field, solver.rows,
+                                                 vectors))
+    if X is None:
+        raise AssertionError(what)
+    return X.columns()
 
 
 def hom_modules(A: OrdinaryAlgebra, M: OrdinaryModule, N: OrdinaryModule):
@@ -644,14 +655,10 @@ def hom_modules(A: OrdinaryAlgebra, M: OrdinaryModule, N: OrdinaryModule):
     if dm == 0 or dn == 0:
         return []
     _, kernel, _ = eliminate(_intertwiner_system(field, M.mats, N.mats))
-    out = []
-    for v in kernel:
-        mat = Matrix(field, dn, dm)
-        for r in range(dn):
-            for c in range(dm):
-                mat.data[r][c] = v[r * dm + c]
-        out.append(mat)
-    return out
+    return [Matrix.from_columns(field, dn,
+                                [{r: v[r * dm + c] for r in range(dn)
+                                  if v[r * dm + c]} for c in range(dm)])
+            for v in kernel]
 
 
 @dataclass
@@ -663,29 +670,32 @@ class MoritaData:
     solver: Matrix    # expresses an intertwiner in the gamma basis
 
 
+def _post_composition(field, acting, basis, shape):
+    """Post-composition by each matrix in `acting` on span(basis), a space
+    of matrices of the given shape (rows, cols).
+
+    Returns one matrix per acting matrix, in the basis `basis`, and the
+    solver whose columns are the flattened basis.
+    """
+    rows, cols = shape
+    solver = Matrix.from_columns(field, rows * cols, [_flat(b) for b in basis])
+    t = len(basis)
+    xs = _coordinates(solver, [_flat(a @ b) for a in acting for b in basis],
+                      "post-composition leaves the Hom space")
+    return [Matrix.from_columns(field, t, xs[i * t:(i + 1) * t])
+            for i in range(len(acting))], solver
+
+
 def gamma(A: OrdinaryAlgebra, M: OrdinaryModule) -> MoritaData:
     """Gamma = End_A(M) with multiplication = composition."""
     field = A.field
     mats = hom_modules(A, M, M)
-    g = len(mats)
-    flat_cols = [[m.data[r][c] for r in range(M.dim) for c in range(M.dim)]
-                 for m in mats]
-    solver = Matrix.from_cols(field, flat_cols, rows_hint=M.dim * M.dim)
-    labels = [("g", i) for i in range(g)]
-    space = GradedVectorSpace({0: labels})
-    mult = {}
-    for a in range(g):
-        for b in range(g):
-            comp = mats[a] @ mats[b]
-            flat = [comp.data[r][c] for r in range(M.dim)
-                    for c in range(M.dim)]
-            x = solve(solver, flat)
-            col = {i: c for i, c in enumerate(x) if c}
-            if col:
-                mult[(a, b)] = col
-    idm = Matrix.identity(field, M.dim)
-    flat = [idm.data[r][c] for r in range(M.dim) for c in range(M.dim)]
-    unit = {i: c for i, c in enumerate(solve(solver, flat)) if c}
+    left, solver = _post_composition(field, mats, mats, (M.dim, M.dim))
+    mult = {(a, b): col for a, m in enumerate(left)
+            for b, col in enumerate(m.columns()) if col}
+    unit, = _coordinates(solver, [_flat(Matrix.identity(field, M.dim))],
+                         "the identity is not in End_A(M)")
+    space = GradedVectorSpace({0: [("g", i) for i in range(len(mats))]})
     G = OrdinaryAlgebra(CurvedAlgebra(field, space, unit, mult, {}, {},
                                       check=True))
     return MoritaData(A, M, G, mats, solver)
@@ -694,54 +704,22 @@ def gamma(A: OrdinaryAlgebra, M: OrdinaryModule) -> MoritaData:
 def classical_F(md: MoritaData, N: OrdinaryModule):
     """F(N) = Hom_A(N, M) as a left Gamma-module (post-composition).
 
-    Returns (module, basis) where basis lists the underlying intertwiners.
+    Returns (module, basis, solver): basis lists the underlying
+    intertwiners, and solver has their flattenings as columns.
     """
-    field = md.A.field
     basis = hom_modules(md.A, N, md.M)
-    t = len(basis)
-    flat_cols = [[m.data[r][c] for r in range(md.M.dim)
-                  for c in range(N.dim)] for m in basis]
-    solver = (Matrix.from_cols(field, flat_cols,
-                               rows_hint=md.M.dim * N.dim)
-              if t else Matrix(field, md.M.dim * N.dim, 0))
-    mats = []
-    for gmat in md.gamma_mats:
-        cols = []
-        for b in basis:
-            comp = gmat @ b
-            flat = [comp.data[r][c] for r in range(md.M.dim)
-                    for c in range(N.dim)]
-            cols.append(solve(solver, flat) if t else [])
-        mats.append(Matrix.from_cols(field, cols, rows_hint=t))
-    # express in the gamma algebra's basis order
-    gm = []
-    for i in range(md.gamma.n):
-        gm.append(mats[i])
-    return OrdinaryModule(md.gamma, gm), basis, solver
+    mats, solver = _post_composition(md.A.field, md.gamma_mats, basis,
+                                     (md.M.dim, N.dim))
+    return OrdinaryModule(md.gamma, mats), basis, solver
 
 
 def classical_G(md: MoritaData, L: OrdinaryModule):
     """G(L) = Hom_Gamma(L, M) as a left A-module (post-composition)."""
-    field = md.A.field
     # M as a Gamma-module: gamma basis acts by its matrix
     Mg = OrdinaryModule(md.gamma, list(md.gamma_mats), check=False)
     basis = hom_modules(md.gamma, L, Mg)
-    t = len(basis)
-    flat_cols = [[m.data[r][c] for r in range(md.M.dim)
-                  for c in range(L.dim)] for m in basis]
-    solver = (Matrix.from_cols(field, flat_cols,
-                               rows_hint=md.M.dim * L.dim)
-              if t else Matrix(field, md.M.dim * L.dim, 0))
-    mats = []
-    for i in range(md.A.n):
-        rho = md.M.mats[i]
-        cols = []
-        for b in basis:
-            comp = rho @ b
-            flat = [comp.data[r][c] for r in range(md.M.dim)
-                    for c in range(L.dim)]
-            cols.append(solve(solver, flat) if t else [])
-        mats.append(Matrix.from_cols(field, cols, rows_hint=t))
+    mats, solver = _post_composition(md.A.field, md.M.mats, basis,
+                                     (md.M.dim, L.dim))
     return OrdinaryModule(md.A, mats), basis, solver
 
 
@@ -751,20 +729,12 @@ def morita_unit(md: MoritaData, N: OrdinaryModule):
     field = md.A.field
     FN, fbasis, _ = classical_F(md, N)
     GFN, gbasis, gsolver = classical_G(md, FN)
-    cols = []
-    for j in range(N.dim):
-        # ev_j: FN -> M, phi -> phi(x_j): matrix with columns phi_i(x_j)
-        ev = Matrix(field, md.M.dim, FN.dim)
-        for i, phi in enumerate(fbasis):
-            for r in range(md.M.dim):
-                ev.data[r][i] = phi.data[r][j]
-        flat = [ev.data[r][c] for r in range(md.M.dim)
-                for c in range(FN.dim)]
-        x = solve(gsolver, flat)
-        if x is None:
-            raise AssertionError("evaluation map is not Gamma-linear")
-        cols.append(x)
-    mat = Matrix.from_cols(field, cols, rows_hint=GFN.dim)
+    # ev_j: FN -> M, phi -> phi(x_j): matrix with columns phi_i(x_j)
+    evs = [_flat(Matrix.from_columns(field, md.M.dim,
+                                     [phi.columns()[j] for phi in fbasis]))
+           for j in range(N.dim)]
+    cols = _coordinates(gsolver, evs, "evaluation map is not Gamma-linear")
+    mat = Matrix.from_columns(field, GFN.dim, cols)
     is_iso = (mat.rows == mat.cols and inverse(mat) is not None)
     # also check A-linearity of the unit
     for i in range(md.A.n):
@@ -830,13 +800,13 @@ def free_resolution(A: OrdinaryAlgebra, M: OrdinaryModule, length: int):
                              if col[slot * n + k]}
                     delta[slot][g] = entry
             deltas.append(delta)
-        # kernel of A^t -> cur, as a module with embedding into A^t
-        cov = Matrix(field, cur.dim, n * t)
-        for g in range(t):
-            for k in range(n):
-                img = cur.act_matrix({k: field.one}).apply(tops[g])
-                for r in range(cur.dim):
-                    cov.data[r][g * n + k] = img[r]
+        # kernel of A^t -> cur, as a module with embedding into A^t:
+        # column g * n + k of the cover is e_k . top_g
+        tops_m = Matrix.from_cols(field, tops, rows_hint=cur.dim)
+        acted = [(rho @ tops_m).columns() for rho in cur.mats]
+        cov = Matrix.from_columns(field, cur.dim,
+                                  [acted[k][g] for g in range(t)
+                                   for k in range(n)])
         _, kernel, _ = eliminate(cov)
         if not kernel:
             # exact already; record the zero next stage
@@ -845,22 +815,20 @@ def free_resolution(A: OrdinaryAlgebra, M: OrdinaryModule, length: int):
         # kernel as a module: basis vectors live in A^t
         kb = kernel
         km = Matrix.from_cols(field, kb, rows_hint=n * t)
-        mats = []
+        imgs = []
         for i in range(n):
-            cols = []
             for v in kb:
-                img = [field.zero] * (n * t)
+                img = {}
                 for slot in range(t):
                     xvec = {k: v[slot * n + k] for k in range(n)
                             if v[slot * n + k]}
                     out = A.mul(A.algebra.basis_vec(i), xvec)
-                    for k, c in out.items():
-                        img[slot * n + k] = c
-                x = solve(km, img)
-                if x is None:
-                    raise AssertionError("kernel is not a submodule")
-                cols.append(x)
-            mats.append(Matrix.from_cols(field, cols, rows_hint=len(kb)))
+                    img.update((slot * n + k, c) for k, c in out.items())
+                imgs.append(img)
+        xs = _coordinates(km, imgs, "kernel is not a submodule")
+        q = len(kb)
+        mats = [Matrix.from_columns(field, q, xs[i * q:(i + 1) * q])
+                for i in range(n)]
         cur = OrdinaryModule(A, mats, check=False)
         embed = kb
         t_prev = t
@@ -891,19 +859,17 @@ def ext_oracle(A: OrdinaryAlgebra, M: OrdinaryModule, N: OrdinaryModule,
                           spaces[i])
         delta = deltas[i]  # t_i x t_{i+1} entries in A
         t_i, t_next = ranks[i], ranks[i + 1]
-        m = Matrix(field, t_next * N.dim, t_i * N.dim)
+        cols = [{} for _ in range(t_i * N.dim)]
         for g in range(t_next):
             for slot in range(t_i):
                 entry = delta[slot][g]
                 if not entry:
                     continue
                 rho = N.act_matrix(entry)
-                for r in range(N.dim):
-                    for c in range(N.dim):
-                        v = rho.data[r][c]
-                        if v:
-                            m.data[g * N.dim + r][slot * N.dim + c] = v
-        return m
+                for c, col in enumerate(rho.columns()):
+                    cols[slot * N.dim + c].update(
+                        (g * N.dim + r, v) for r, v in col.items())
+        return Matrix.from_columns(field, t_next * N.dim, cols)
 
     out = []
     prev_rank = 0

@@ -80,8 +80,7 @@ def random_square_zero(field, V: GradedVectorSpace, rng) -> GradedMap:
         rows, cols = V.dim(n + 1), V.dim(n)
         if rows == 0 or cols == 0:
             continue
-        m = Matrix(field, rows, cols)
-        hit = False
+        columns = [{} for _ in range(cols)]
         taken = used_targets.setdefault(n + 1, set())
         for c in range(cols):
             if rng.random() < 0.5:
@@ -92,11 +91,10 @@ def random_square_zero(field, V: GradedVectorSpace, rng) -> GradedMap:
                 # a source that is itself a target must stay out of play
                 if c in used_targets.get(n, set()):
                     continue
-                m.data[r][c] = field.one
+                columns[c] = {r: field.one}
                 taken.add(r)
-                hit = True
-        if hit:
-            blocks[n] = m
+        if any(columns):
+            blocks[n] = Matrix.from_columns(field, rows, columns)
     return GradedMap(field, V, V, 1, blocks)
 
 
@@ -160,25 +158,16 @@ def random_acyclic_complex(field, seed: int, max_dim=3) -> Complex:
         cols = space.dim(n)
         if rows == 0 or cols == 0:
             continue
-        m = Matrix(field, rows, cols)
         src_s = V.dim(n + 1)
         tgt_s = V.dim(n + 2)
-        db_up = d.block(n + 1)
-        db = d.block(n)
-        for c in range(src_s):
-            for r in range(tgt_s):
-                v = db_up.data[r][c]
-                if v:
-                    m.data[r][c] = -v
-            # identity part: x lands in the "c" block of degree n+1
-            m.data[tgt_s + c][c] = field.one
-        for c in range(V.dim(n)):
-            for r in range(V.dim(n + 1)):
-                v = db.data[r][c]
-                if v:
-                    m.data[tgt_s + r][src_s + c] = v
-        if not m.is_zero():
-            blocks[n] = m
+        # the "s" columns: -d x, and x itself in the "c" block of degree n+1
+        columns = [{**{r: -v for r, v in col.items()}, tgt_s + c: field.one}
+                   for c, col in enumerate(d.block(n + 1).columns())]
+        # the "c" columns: d y, in the "c" block
+        columns += [{tgt_s + r: v for r, v in col.items()}
+                    for col in d.block(n).columns()]
+        if any(columns):
+            blocks[n] = Matrix.from_columns(field, rows, columns)
     return Complex(field, space, GradedMap(field, space, space, 1, blocks))
 
 
@@ -196,14 +185,9 @@ def random_ordinary_module(A, seed: int, max_dim: int = 4):
     dim = n * rank
 
     def big(mats_entry):
-        m = Matrix(field, dim, dim)
-        for b in range(rank):
-            for r in range(n):
-                for c in range(n):
-                    v = mats_entry.data[r][c]
-                    if v:
-                        m.data[b * n + r][b * n + c] = v
-        return m
+        return Matrix.from_columns(field, dim, [
+            {b * n + r: v for r, v in col.items()}
+            for b in range(rank) for col in mats_entry.columns()])
 
     mats = [big(reg.mats[i]) for i in range(n)]
     # random generators of a submodule

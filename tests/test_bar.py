@@ -447,10 +447,8 @@ def test_cup_product_ring_structure_on_cohomology():
         rows = E.by_degree[n]
         cols = E.by_degree[n - 1]
         pos = {k: p for p, k in enumerate(rows)}
-        m = Matrix(E.field, len(rows), len(cols))
-        for c, i in enumerate(cols):
-            for k, v in E.diff.get(i, {}).items():
-                m.data[pos[k]][c] = v
+        m = Matrix.from_columns(E.field, len(rows), [
+            {pos[k]: v for k, v in E.diff.get(i, {}).items()} for i in cols])
         target = [E.field.zero] * len(rows)
         for k, v in power.items():
             target[pos[k]] = v

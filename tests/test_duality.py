@@ -14,6 +14,7 @@ from bardual.fields import QQ
 from bardual.graded import GradedVectorSpace, cohomology
 from bardual.linalg import Matrix, eliminate
 from bardual.sampling import random_free_module
+from bardual.sparse import viadd
 
 
 def test_F_of_zero_module_is_zero():
@@ -203,13 +204,14 @@ def test_hom_dual_pairing_is_perfect():
     assert dims_to.get(0, 0) == dims_from.get(0, 0) == 2
     # pairing matrix: (psi o phi) is a scalar multiple of id_M
     n = dims_to[0]
-    pm = Matrix(QQ, n, n)
+    pm = []
     for a in range(n):
         phi = to_h.basis[0][a]          # slots (m index, K index)
+        pm.append([])
         for b in range(n):
             psi = from_h.basis[0][b]    # slots (K index, m index)
             # compose: M -> K -> M, read the coefficient of id
-            comp = Matrix(QQ, 2, 2)
+            cols = [{}, {}]
             for p1, (mi, ki) in enumerate(to_h.slots[0]):
                 c1 = phi[p1]
                 if not c1:
@@ -217,11 +219,12 @@ def test_hom_dual_pairing_is_perfect():
                 for p2, (kj, mj) in enumerate(from_h.slots[0]):
                     c2 = psi[p2]
                     if c2 and kj == ki:
-                        comp.data[mj][mi] = comp.data[mj][mi] + c1 * c2
-            assert comp.data[0][1] == 0 and comp.data[1][0] == 0
-            assert comp.data[0][0] == comp.data[1][1]
-            pm.data[a][b] = comp.data[0][0]
-    r, _, _ = eliminate(pm)
+                        viadd(cols[mi], {mj: c1 * c2})
+            comp = Matrix.from_columns(QQ, 2, cols)
+            assert comp.col(1)[0] == 0 and comp.col(0)[1] == 0
+            assert comp.col(0)[0] == comp.col(1)[1]
+            pm[a].append(comp.col(0)[0])
+    r, _, _ = eliminate(Matrix.from_rows(QQ, pm))
     assert r == n
 
 

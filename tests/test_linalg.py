@@ -207,3 +207,43 @@ def test_solve_succeeds_exactly_when_solvable(data, draw):
     assert (x is not None) == solvable
     if x is not None:
         assert m.apply(x) == b
+
+
+# ---------------------------------------------------------------------------
+# one representation: sparse columns that never store a zero, so that a
+# matrix built through a cancellation equals the one built directly
+
+
+def stores_no_zero(m):
+    return all(v for col in m.columns() for v in col.values())
+
+
+def test_matrices_are_sparse_columns_with_no_zero_stored():
+    from bardual.catalog import builtin_algebra
+    from bardual.morita import OrdinaryAlgebra, OrdinaryModule
+
+    assert not hasattr(Matrix(QQ, 2, 2), "data")
+    assert not any("data" in name for name in Matrix.__slots__)
+    F = GF(7)
+    a = qm([[1, 2], [0, 1]])
+    b = qm([[1, 0], [3, 1]])
+    M = OrdinaryModule(OrdinaryAlgebra(builtin_algebra("kxk", QQ)), [a, b],
+                       check=False)
+    built_and_direct = [
+        (a, Matrix.from_columns(QQ, 2, [{0: Fraction(1)},
+                                        {0: Fraction(2), 1: Fraction(1)}])),
+        (M.act_matrix({0: QQ.one, 1: -QQ.one}), qm([[0, 2], [-3, 0]])),
+        (M.act_matrix({0: Fraction(3), 1: Fraction(-3)}),
+         qm([[0, 6], [-9, 0]])),
+        (a + (-a), Matrix(QQ, 2, 2)),
+        (a + b.scale(-QQ.one), qm([[0, 2], [-3, 0]])),
+        (Matrix.from_rows(F, [[F(3), F(4)]])
+         + Matrix.from_rows(F, [[F(4), F(4)]]),
+         Matrix.from_columns(F, 1, [{}, {0: F(1)}])),
+        (qm([[1, 1], [1, -1]]) @ qm([[1], [1]]), qm([[2], [0]])),
+        (a.scale(QQ.zero), Matrix(QQ, 2, 2)),
+        (qm([[0, 1], [2, 0]]).transpose(), qm([[0, 2], [1, 0]])),
+    ]
+    for built, direct in built_and_direct:
+        assert stores_no_zero(built) and stores_no_zero(direct)
+        assert built == direct

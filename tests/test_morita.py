@@ -11,6 +11,7 @@ from bardual.morita import (OrdinaryAlgebra, _nilpotency_index,
                             hom_modules, injective_cogenerator, morita_unit,
                             radical, regular_ordinary, simple_modules)
 from bardual.sampling import random_ordinary_module
+from bardual.sparse import viadd
 
 
 def ord_(name, field=QQ):
@@ -266,19 +267,17 @@ def test_linear_duality_mirrors_cohomology():
         n = A.n
         V = GradedVectorSpace({0: [("p0", i) for i in range(ranks[0] * n)],
                                -1: [("p1", i) for i in range(ranks[1] * n)]})
-        m = Matrix(QQ, ranks[0] * n, ranks[1] * n)
+        cols = [{} for _ in range(ranks[1] * n)]
         for slot in range(ranks[0]):
             for g in range(ranks[1]):
                 entry = deltas[0][slot][g]
                 for k, c in entry.items():
                     # left multiplication column of the entry
                     L = A.left_mult_matrix({k: QQ(1)})
-                    for r in range(n):
-                        for s in range(n):
-                            v = c * L.data[r][s] if L.data[r][s] else None
-                            if v:
-                                m.data[slot * n + r][g * n + s] = \
-                                    m.data[slot * n + r][g * n + s] + v
+                    for s, col in enumerate(L.columns()):
+                        viadd(cols[g * n + s],
+                              {slot * n + r: v for r, v in col.items()}, c)
+        m = Matrix.from_columns(QQ, ranks[0] * n, cols)
         d = GradedMap(QQ, V, V, 1, {-1: m})
         C = Complex(QQ, V, d)
         hc = cohomology(C)
