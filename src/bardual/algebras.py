@@ -1189,21 +1189,17 @@ def change_basis(A: CurvedAlgebra, mats: dict, check=True) -> CurvedAlgebra:
 
     def new_to_old(i):
         d = A.degree[i]
-        col = fwd[d].col(pos[i])
-        return {A.by_degree[d][r]: c for r, c in enumerate(col) if c}
+        idxs = A.by_degree[d]
+        return {idxs[r]: c for r, c in fwd[d].columns()[pos[i]].items()}
 
     def old_vec_to_new(vec):
-        out = {}
         by_d = {}
         for k, c in vec.items():
-            by_d.setdefault(A.degree[k], {})[k] = c
+            by_d.setdefault(A.degree[k], {})[pos[k]] = c
+        out = {}
         for d, part in by_d.items():
             idxs = A.by_degree[d]
-            col = [part.get(i, field.zero) for i in idxs]
-            newcol = bwd[d].apply(col)
-            for r, c in enumerate(newcol):
-                if c:
-                    out[idxs[r]] = c
+            out.update((idxs[r], c) for r, c in bwd[d].apply(part).items())
         return out
 
     mult = {}

@@ -30,7 +30,7 @@ from .algebras import (CurvedModule, ModuleMap, TensorAlgebra,
 from .bar import (TruncatedTensorAlgebra, WordBasis, _generator_diff_table,
                   _sxi_sign, canonical_mc, hochschild_via_twist)
 from .graded import GradedVectorSpace
-from .linalg import Matrix, eliminate, solve
+from .linalg import ColumnEchelon, Matrix, eliminate
 from .sparse import viadd, vneg
 from .twisting import twist_algebra, twist_module
 
@@ -49,7 +49,8 @@ class HomOverEnd:
 
     Coordinates of a degree-n map live on `slots[n]`, a list of
     (source basis index, target basis index) pairs; `basis[n]` holds the
-    solved kernel vectors (first-pivot convention, deterministic).
+    solved kernel vectors (first-pivot convention, deterministic), sparse
+    over those positions.
     """
 
     def __init__(self, module: CurvedModule, M: CurvedModule, end_embed,
@@ -62,7 +63,7 @@ class HomOverEnd:
         self.end_labels = end_labels
         self.slots = {}
         self.basis = {}
-        self.solvers = {}
+        self._echelons = {}
         K = module
         src, tgt = (K, M) if mode == "from" else (M, K)
         degrees = sorted({tgt.degree[b] - src.degree[a]
@@ -75,22 +76,22 @@ class HomOverEnd:
             spos = {s: i for i, s in enumerate(slots)}
             rows = []
             for t in range(len(end_embed)):
-                rows.extend(self._constraint_rows(n, slots, spos, t))
-            m = (Matrix.from_rows(self.field, rows) if rows
-                 else Matrix(self.field, 0, len(slots)))
+                rows.extend(self._constraint_rows(n, spos, t))
+            m = Matrix.from_columns(self.field, len(slots), rows).transpose()
             _, kernel, _ = eliminate(m)
             if kernel:
                 self.slots[n] = slots
                 self.basis[n] = kernel
-                self.solvers[n] = Matrix.from_cols(self.field, kernel,
-                                                   rows_hint=len(slots))
+                self._echelons[n] = ColumnEchelon(self.field, kernel,
+                                                  track=True)
 
     def _unit(self, t):
         """End basis t as a matrix unit (M source index, M target index)."""
         (p, a), (q, b) = self.end_labels[t]
         return self.M.index[(p, a)], self.M.index[(q, b)], q - p
 
-    def _constraint_rows(self, n, slots, spos, t):
+    def _constraint_rows(self, n, spos, t):
+        """The constraints from End basis t, as sparse rows over slots."""
         field = self.field
         msrc, mtgt, tdeg = self._unit(t)
         sgn = -field.one if (n * tdeg) % 2 else field.one
@@ -105,19 +106,12 @@ class HomOverEnd:
                 for k, c in img.items():
                     for b0 in range(M.dim):
                         if (k, b0) in spos:
-                            acc = per_target.setdefault(b0, {})
-                            pos = spos[(k, b0)]
-                            acc[pos] = acc.get(pos, field.zero) + c
+                            viadd(per_target.setdefault(b0, {}),
+                                  {spos[(k, b0)]: c})
                 if (j, msrc) in spos:
-                    acc = per_target.setdefault(mtgt, {})
-                    pos = spos[(j, msrc)]
-                    acc[pos] = acc.get(pos, field.zero) - sgn
-                for entries in per_target.values():
-                    if any(entries.values()):
-                        row = [field.zero] * len(slots)
-                        for pos, v in entries.items():
-                            row[pos] = v
-                        rows.append(row)
+                    viadd(per_target.setdefault(mtgt, {}),
+                          {spos[(j, msrc)]: -sgn})
+                rows.extend(row for row in per_target.values() if row)
         else:
             M, L = self.M, self.module
             for a in range(M.dim):
@@ -126,23 +120,16 @@ class HomOverEnd:
                 if a == msrc:
                     for l0 in range(L.dim):
                         if (mtgt, l0) in spos:
-                            acc = per_target.setdefault(l0, {})
-                            pos = spos[(mtgt, l0)]
-                            acc[pos] = acc.get(pos, field.zero) + field.one
+                            viadd(per_target.setdefault(l0, {}),
+                                  {spos[(mtgt, l0)]: field.one})
                 for l in range(L.dim):
                     if (a, l) not in spos:
                         continue
                     img = L.act(embed, L.basis_vec(l))
                     for l2, c in img.items():
-                        acc = per_target.setdefault(l2, {})
-                        pos = spos[(a, l)]
-                        acc[pos] = acc.get(pos, field.zero) - sgn * c
-                for entries in per_target.values():
-                    if any(entries.values()):
-                        row = [field.zero] * len(slots)
-                        for pos, v in entries.items():
-                            row[pos] = v
-                        rows.append(row)
+                        viadd(per_target.setdefault(l2, {}),
+                              {spos[(a, l)]: -sgn * c})
+                rows.extend(row for row in per_target.values() if row)
         return rows
 
     def space(self) -> GradedVectorSpace:
@@ -153,19 +140,18 @@ class HomOverEnd:
     def dims(self):
         return {n: len(bs) for n, bs in self.basis.items()}
 
-    def coords(self, n, dense):
-        """Express a dense slot vector as coordinates in the solved basis."""
-        if n not in self.solvers:
-            if any(dense):
+    def coords(self, n, vec):
+        """Sparse coordinates in the solved basis of a sparse slot vector,
+        from the echelon of degree n built once."""
+        E = self._echelons.get(n)
+        if E is None:
+            if vec:
                 raise ValueError("map is not End-linear / wrong degree")
-            return []
-        x = solve(self.solvers[n], dense)
+            return {}
+        x = E.solve(vec)
         if x is None:
             raise ValueError("map is not in the solved Hom space")
         return x
-
-    def dense_of_basis(self, n, i):
-        return self.basis[n][i]
 
 
 def end_embed_bar(E0: TruncatedTensorAlgebra):
@@ -409,18 +395,15 @@ def beta_table(H: HomOverEnd, K: CurvedModule, elems):
             sgn = -one if (bdeg * (n + 1)) % 2 else one
             cols = []
             for vec in basis:
-                dense = [field.zero] * len(tslots)
-                for pos, (k, b) in enumerate(slots):
-                    c = vec[pos]
-                    if not c:
-                        continue
+                acc = {}
+                for pos, c in vec.items():
+                    k, b = slots[pos]
                     # phi o l_b at x_k2: phi(b . x_k2)
                     for k2 in range(K.dim):
                         img = imgs[k2]
                         if k in img and (k2, b) in tpos:
-                            dense[tpos[(k2, b)]] = \
-                                dense[tpos[(k2, b)]] + sgn * c * img[k]
-                cols.append(H.coords(m, dense))
+                            viadd(acc, {tpos[(k2, b)]: sgn * c * img[k]})
+                cols.append(H.coords(m, acc))
             table[n] = cols
         out.append(table)
     return out
@@ -468,23 +451,17 @@ def functor_G(L: CurvedModule, M: CurvedModule, check=True) -> CurvedModule:
         sgn = -one if n % 2 else one
         cols = []
         for vec in basis:
-            dense = [field.zero] * len(tslots)
-            for pos, (k, b) in enumerate(slots):
-                c = vec[pos]
-                if not c:
-                    continue
-                dmb = Mb.diff.get(b)
-                if dmb:
-                    for b2, cc in dmb.items():
-                        if (k, b2) in tpos:
-                            dense[tpos[(k, b2)]] = \
-                                dense[tpos[(k, b2)]] + c * cc
+            acc = {}
+            for pos, c in vec.items():
+                k, b = slots[pos]
+                for b2, cc in Mb.diff.get(b, {}).items():
+                    if (k, b2) in tpos:
+                        viadd(acc, {tpos[(k, b2)]: c * cc})
                 for k2 in range(K.dim):
                     dk = K.diff.get(k2)
                     if dk and k in dk and (k2, b) in tpos:
-                        dense[tpos[(k2, b)]] = \
-                            dense[tpos[(k2, b)]] - sgn * c * dk[k]
-            cols.append(H.coords(m, dense))
+                        viadd(acc, {tpos[(k2, b)]: -sgn * c * dk[k]})
+            cols.append(H.coords(m, acc))
         dH[n] = cols
 
     # assemble A (x) H over the re-based algebra, then pull back
@@ -523,9 +500,8 @@ def functor_G(L: CurvedModule, M: CurvedModule, check=True) -> CurvedModule:
                 if da:
                     for k, c in da.items():
                         viadd(col, {gidx(k, n, hi): c})
-                for hj, c in enumerate(dH[n][hi]):
-                    if c:
-                        viadd(col, {gidx(i, n + 1, hj): isgn * c})
+                for hj, c in dH[n][hi].items():
+                    viadd(col, {gidx(i, n + 1, hj): isgn * c})
                 for pos in range(len(srcs)):
                     prod = R.mult.get((i, srcs[pos]))
                     if not prod:
@@ -534,13 +510,12 @@ def functor_G(L: CurvedModule, M: CurvedModule, check=True) -> CurvedModule:
                     if cols is None:
                         continue
                     m = n + E0.gens[pos][1]
-                    for hj, c in enumerate(cols[hi]):
-                        if c:
-                            t = etas[pos] * c
-                            if ideg % 2:
-                                t = -t
-                            for k, ck in prod.items():
-                                viadd(col, {gidx(k, m, hj): t * ck})
+                    for hj, c in cols[hi].items():
+                        t = etas[pos] * c
+                        if ideg % 2:
+                            t = -t
+                        for k, ck in prod.items():
+                            viadd(col, {gidx(k, m, hj): t * ck})
                 if col:
                     diff[gidx(i, n, hi)] = col
 
@@ -645,18 +620,14 @@ def morita_prime_G(L: CurvedModule, Mspace: GradedVectorSpace,
             tslots = H.slots.get(m, [])
             tpos = {s: i for i, s in enumerate(tslots)}
             for i, vec in enumerate(basis):
-                dense = [field.zero] * len(tslots)
-                for pos, (a, l) in enumerate(slots):
-                    c = vec[pos]
-                    if not c:
-                        continue
+                acc = {}
+                for pos, c in vec.items():
+                    a, l = slots[pos]
                     img = L.act(bvec, L.basis_vec(l))
                     for l2, cc in img.items():
                         if (a, l2) in tpos:
-                            dense[tpos[(a, l2)]] = \
-                                dense[tpos[(a, l2)]] + c * cc
-                coords = H.coords(m, dense)
-                col = {hidx(m, hj): c for hj, c in enumerate(coords) if c}
+                            viadd(acc, {tpos[(a, l2)]: c * cc})
+                col = {hidx(m, hj): c for hj, c in H.coords(m, acc).items()}
                 if col:
                     action[(bi, hidx(n, i))] = col
 
@@ -667,19 +638,13 @@ def morita_prime_G(L: CurvedModule, Mspace: GradedVectorSpace,
         tslots = H.slots.get(m, [])
         tpos = {s: i for i, s in enumerate(tslots)}
         for i, vec in enumerate(basis):
-            dense = [field.zero] * len(tslots)
-            for pos, (a, l) in enumerate(slots):
-                c = vec[pos]
-                if not c:
-                    continue
-                dl = L.diff.get(l)
-                if dl:
-                    for l2, cc in dl.items():
-                        if (a, l2) in tpos:
-                            dense[tpos[(a, l2)]] = \
-                                dense[tpos[(a, l2)]] + c * cc
-            coords = H.coords(m, dense)
-            col = {hidx(m, hj): c for hj, c in enumerate(coords) if c}
+            acc = {}
+            for pos, c in vec.items():
+                a, l = slots[pos]
+                for l2, cc in L.diff.get(l, {}).items():
+                    if (a, l2) in tpos:
+                        viadd(acc, {tpos[(a, l2)]: c * cc})
+            col = {hidx(m, hj): c for hj, c in H.coords(m, acc).items()}
             if col:
                 diff[hidx(n, i)] = col
 
@@ -701,22 +666,17 @@ def _tautological_module(Mspace: GradedVectorSpace, field) -> CurvedModule:
 def prime_unit_iso(N: CurvedModule, Mspace: GradedVectorSpace, Ep, FpN,
                    GpFpN: CurvedModule, check=True) -> ModuleMap:
     """The natural isomorphism N -> G'F'(N), x -> (m -> x (x) m)."""
-    field = N.field
+    one = N.field.one
     H = GpFpN.hom
-    mbasis = _flat_basis(Mspace)
     blocks = {}
     flat = _flat_basis(GpFpN.space)
     fpos = {bl: i for i, bl in enumerate(flat)}
     for j in range(N.dim):
         n = N.degree[j]
-        slots = H.slots.get(n, [])
-        dense = [field.zero] * len(slots)
-        for pos, (a, l) in enumerate(slots):
-            if l == FpN.pair_index(j, a):
-                dense[pos] = field.one
-        coords = H.coords(n, dense)
+        vec = {pos: one for pos, (a, l) in enumerate(H.slots.get(n, []))
+               if l == FpN.pair_index(j, a)}
         col = {fpos[(n, ("h", n, hi))]: c
-               for hi, c in enumerate(coords) if c}
+               for hi, c in H.coords(n, vec).items()}
         if col:
             blocks[j] = col
     return ModuleMap(N, GpFpN, blocks, check=check)
@@ -725,18 +685,16 @@ def prime_unit_iso(N: CurvedModule, Mspace: GradedVectorSpace, Ep, FpN,
 def prime_counit_iso(L: CurvedModule, Mspace: GradedVectorSpace, GpL,
                      FpGpL: CurvedModule, check=True) -> ModuleMap:
     """The natural isomorphism F'G'(L) -> L, phi (x) m -> phi(m)."""
-    field = L.field
     H = GpL.hom
     blocks = {}
     for i in range(FpGpL.dim):
         _, (j, a) = FpGpL.basis[i]
         n, lbl = GpL.basis[j]
-        hi = lbl[2]
-        dense = H.dense_of_basis(n, hi)
         col = {}
-        for pos, (a2, l) in enumerate(H.slots[n]):
-            if a2 == a and dense[pos]:
-                viadd(col, {l: dense[pos]})
+        for pos, c in H.basis[n][lbl[2]].items():
+            a2, l = H.slots[n][pos]
+            if a2 == a:
+                viadd(col, {l: c})
         if col:
             blocks[i] = col
     return ModuleMap(FpGpL, L, blocks, check=check)

@@ -14,7 +14,7 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 from .linalg import (Matrix, eliminate, quotient_representatives, rank,
-                     solve, solve_matrix)
+                     solve_matrix)
 
 
 class GradedVectorSpace:
@@ -324,8 +324,9 @@ def dual_complex(C: Complex) -> Complex:
 class Cohomology:
     """H^n of a complex: its dimension, and representative cocycles.
 
-    The representatives extend a basis of im d^{n-1} to one of ker d^n
-    with the first-pivot convention; they are computed on first access.
+    The representatives, sparse vectors of C^n, extend a basis of
+    im d^{n-1} to one of ker d^n with the first-pivot convention; they
+    are computed on first access.
     """
 
     __slots__ = ("betti", "_complex", "_degree", "_representatives")
@@ -342,8 +343,7 @@ class Cohomology:
             C, n = self._complex, self._degree
             _, kernel, _ = eliminate(C.d.block(n))
             _, _, image = eliminate(C.d.block(n - 1))
-            reps = quotient_representatives(image, kernel, C.field,
-                                            C.space.dim(n))
+            reps = quotient_representatives(image, kernel, C.field)
             if len(reps) != self.betti:
                 raise AssertionError(f"H^{n}: {len(reps)} representatives "
                                      f"for dimension {self.betti}")
@@ -402,11 +402,11 @@ def is_quasi_iso(f: GradedMap, C: Complex, D: Complex, window) -> bool:
         # matrix of the induced map in the chosen representative bases:
         # solve [reps_D | im d_D] x = f(rep) and keep the reps_D part.
         _, _, imD = eliminate(D.d.block(n - 1))
-        basis_cols = hD[n].representatives + imD
-        basis = Matrix.from_cols(D.field, basis_cols, rows_hint=D.space.dim(n))
-        images = Matrix.from_cols(D.field, [f.block(n).apply(rep) for rep
-                                            in hC[n].representatives],
-                                  rows_hint=D.space.dim(n))
+        rows = D.space.dim(n)
+        basis = Matrix.from_columns(D.field, rows,
+                                    hD[n].representatives + imD)
+        images = Matrix.from_columns(D.field, rows, [
+            f.block(n).apply(rep) for rep in hC[n].representatives])
         xs = solve_matrix(basis, images)
         if xs is None:
             raise AssertionError("chain map image escaped the cocycles")
@@ -431,10 +431,8 @@ def truncate_complex(C: Complex, n: int, m: int) -> Complex:
     comp = {}
     # bottom: coker of d^{n-1}: representatives of M^n modulo the image.
     _, _, im_low = eliminate(C.d.block(n - 1))
-    dim_n = C.space.dim(n)
-    std = [[field.one if i == j else field.zero for i in range(dim_n)]
-           for j in range(dim_n)]
-    coker_reps = quotient_representatives(im_low, std, field, dim_n)
+    coker_reps = quotient_representatives(
+        im_low, Matrix.identity(field, C.space.dim(n)).columns(), field)
     if coker_reps:
         comp[n] = tuple(("coker", i) for i in range(len(coker_reps)))
     for i in range(n + 1, m):
@@ -447,8 +445,7 @@ def truncate_complex(C: Complex, n: int, m: int) -> Complex:
     space = GradedVectorSpace(comp)
 
     blocks = {}
-    ker_mat = (Matrix.from_cols(field, ker_top, rows_hint=C.space.dim(m))
-               if ker_top else None)
+    ker_mat = Matrix.from_columns(field, C.space.dim(m), ker_top)
     for i in range(n, m):
         tgt_dim = space.dim(i + 1)
         src_dim = space.dim(i)
@@ -457,16 +454,14 @@ def truncate_complex(C: Complex, n: int, m: int) -> Complex:
         if i == n:
             cols = [C.d.block(n).apply(rep) for rep in coker_reps]
         else:
-            cols = [C.d.block(i).col(j) for j in range(C.space.dim(i))]
+            cols = C.d.block(i).columns()
         if i + 1 == m:
-            # express images in the kernel basis
-            new_cols = []
-            for c in cols:
-                x = solve(ker_mat, c)
-                if x is None:
-                    raise AssertionError("d does not land in ker at the top")
-                new_cols.append(x)
-            cols = new_cols
-        blocks[i] = Matrix.from_cols(field, cols, rows_hint=tgt_dim)
+            # express images in the kernel basis, from one elimination
+            xs = solve_matrix(ker_mat, Matrix.from_columns(
+                field, C.space.dim(m), cols))
+            if xs is None:
+                raise AssertionError("d does not land in ker at the top")
+            cols = xs.columns()
+        blocks[i] = Matrix.from_columns(field, tgt_dim, cols)
     d = GradedMap(field, space, space, 1, blocks)
     return Complex(field, space, d)

@@ -1,11 +1,12 @@
 """Exact sparse linear algebra: rank, kernel/image bases and solving, all
 answered by one column elimination.
 
-A `Matrix` is held as sparse columns: dicts {row: coefficient} with no
-zero stored, the vector convention of `sparse`, so equal matrices have
-equal columns.  Dense rows are accepted as input only (`from_rows`, the
-`data` argument) and turned into columns on entry; callers build a
-matrix from its columns and read it through `columns()` and `col()`.
+One vector convention holds at this boundary: every vector taken or
+returned is a sparse dict {index: coefficient} with no zero stored, the
+convention of `sparse`, so equal vectors are equal dicts.  A `Matrix`
+is held as such columns; callers build it from its columns and read it
+through `columns()`.  `from_rows` is the one dense input, turned into
+columns on entry.
 
 `ColumnEchelon` reduces the columns left to right against the span of
 the independent columns before them ("first-pivot convention").  Its
@@ -23,18 +24,12 @@ from .sparse import vadd, viadd, vneg, vscale
 class Matrix:
     __slots__ = ("field", "rows", "cols", "_columns")
 
-    def __init__(self, field, rows: int, cols: int, data=None):
-        """The zero matrix of this shape, or the one with dense rows `data`."""
+    def __init__(self, field, rows: int, cols: int):
+        """The zero matrix of this shape."""
         self.field = field
         self.rows = rows
         self.cols = cols
-        if data is None:
-            self._columns = [{} for _ in range(cols)]
-        else:
-            if len(data) != rows or any(len(r) != cols for r in data):
-                raise ValueError("matrix data does not match shape")
-            self._columns = [{i: row[j] for i, row in enumerate(data)
-                              if row[j]} for j in range(cols)]
+        self._columns = [{} for _ in range(cols)]
 
     @classmethod
     def from_columns(cls, field, rows: int, columns):
@@ -48,15 +43,13 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, field, rows):
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        return cls(field, r, c, rows)
-
-    @classmethod
-    def from_cols(cls, field, cols, rows_hint=None):
-        """Matrix whose columns are the given dense vectors."""
-        rows = len(cols[0]) if cols else rows_hint or 0
-        return cls.from_columns(field, rows, [_sparse(c) for c in cols])
+        """Matrix with the given dense rows, all of one length."""
+        c = len(rows[0]) if rows else 0
+        if any(len(r) != c for r in rows):
+            raise ValueError("matrix rows differ in length")
+        return cls.from_columns(field, len(rows), [
+            {i: row[j] for i, row in enumerate(rows) if row[j]}
+            for j in range(c)])
 
     @classmethod
     def identity(cls, field, n):
@@ -66,9 +59,6 @@ class Matrix:
     def columns(self):
         """Sparse columns {row: coefficient}; read only."""
         return self._columns
-
-    def col(self, j):
-        return _dense(self._columns[j], self.rows, self.field.zero)
 
     def transpose(self):
         out = [{} for _ in range(self.rows)]
@@ -109,31 +99,19 @@ class Matrix:
         return Matrix.from_columns(self.field, self.rows,
                                    [vscale(c, x) for x in self.columns()])
 
-    def apply(self, v):
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
+    def apply(self, v: dict) -> dict:
+        """The sparse vector m @ v."""
         acc = {}
-        for col, x in zip(self.columns(), v):
-            if x:
-                viadd(acc, col, x)
-        return _dense(acc, self.rows, self.field.zero)
+        mine = self.columns()
+        for j, x in v.items():
+            viadd(acc, mine[j], x)
+        return acc
 
     def is_zero(self):
         return not any(self.columns())
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
-
-
-def _sparse(v):
-    return {i: c for i, c in enumerate(v) if c}
-
-
-def _dense(v: dict, n, zero):
-    out = [zero] * n
-    for i, c in v.items():
-        out[i] = c
-    return out
 
 
 def _subtract_multiple(acc: dict, x: dict, f, p) -> None:
@@ -152,10 +130,11 @@ def _subtract_multiple(acc: dict, x: dict, f, p) -> None:
 class ColumnEchelon:
     """Column elimination of a sparse matrix with a fixed pivot order.
 
-    `columns` are sparse vectors over `field`.  Column j is reduced
-    against the independent columns before it: while its lowest nonzero
-    row is the pivot row (lowest row) of a stored reduced column, that
-    multiple is subtracted.  If anything is left, column j is independent
+    Columns are sparse vectors over `field`, appended one at a time by
+    `add`; the constructor adds `columns`.  Column j is reduced against
+    the independent columns before it: while its lowest nonzero row is
+    the pivot row (lowest row) of a stored reduced column, that multiple
+    is subtracted.  If anything is left, column j is independent
     and what is left is stored under its lowest row.  So:
 
       pivots   the indices of the independent columns, ascending: the
@@ -169,22 +148,32 @@ class ColumnEchelon:
     turned back into field elements on the way out.
     """
 
-    def __init__(self, field, columns, track=False):
+    def __init__(self, field, columns=(), track=False):
         self.field = field
         self._p = field.characteristic
+        self._track = track
         # pivot row -> (reduced column scaled to 1 there, its combination)
         self._rows = {}
         self.pivots = []
         self.kernel = {}
-        one = 1 if self._p else field.one
-        for j, col in enumerate(columns):
-            comb = {j: one} if track else None
-            v, comb = self._reduce(self._lift(col), comb)
-            if v:
-                self._add_pivot(v, comb)
-                self.pivots.append(j)
-            elif track:
-                self.kernel[j] = self._lower(comb)
+        self.cols = 0
+        for col in columns:
+            self.add(col)
+
+    def add(self, col) -> bool:
+        """Append column `col`; True when it is independent of the columns
+        before it, and so becomes a pivot."""
+        j = self.cols
+        self.cols += 1
+        comb = {j: 1 if self._p else self.field.one} if self._track else None
+        v, comb = self._reduce(self._lift(col), comb)
+        if v:
+            self._add_pivot(v, comb)
+            self.pivots.append(j)
+            return True
+        if self._track:
+            self.kernel[j] = self._lower(comb)
+        return False
 
     @property
     def rank(self):
@@ -242,35 +231,25 @@ class ColumnEchelon:
 def eliminate(m: Matrix):
     """Rank, kernel basis and image basis of m, all exact.
 
-    kernel vectors are columns v with m @ v = 0, one per non-pivot column
-    in reduced-echelon form; the image basis is the pivot columns of m
-    itself, so rank + len(kernel) == cols.
+    kernel vectors are sparse vectors v with m @ v = 0, one per non-pivot
+    column in reduced-echelon form; the image basis is the pivot columns
+    of m itself, so rank + len(kernel) == cols.
     """
-    E = ColumnEchelon(m.field, m.columns(), track=True)
-    z = m.field.zero
-    kernel = [_dense(v, m.cols, z) for v in E.kernel.values()]
-    image = [m.col(j) for j in E.pivots]
-    return E.rank, kernel, image
+    columns = m.columns()
+    E = ColumnEchelon(m.field, columns, track=True)
+    return E.rank, list(E.kernel.values()), [columns[j] for j in E.pivots]
 
 
 def rank(m: Matrix) -> int:
     return ColumnEchelon(m.field, m.columns()).rank
 
 
-def solve(m: Matrix, b):
-    """Some x with m @ x = b, or None when b is not in the image.
-
-    x is the solution supported on the pivot columns.  Raises on length
-    mismatch; the zero-column case degenerates correctly.
-    """
-    if len(b) != m.rows:
-        raise ValueError("right-hand side has wrong length")
-    x = ColumnEchelon(m.field, m.columns(), track=True).solve(_sparse(b))
-    return None if x is None else _dense(x, m.cols, m.field.zero)
-
-
 def solve_matrix(m: Matrix, bmat: Matrix):
-    """Solve m @ X = bmat column by column; None if any column fails."""
+    """Solve m @ X = bmat column by column, from one elimination of m;
+    None if any column fails.  Each column of X is the solution supported
+    on the pivot columns of m."""
+    if bmat.rows != m.rows:
+        raise ValueError("right-hand side has wrong length")
     E = ColumnEchelon(m.field, m.columns(), track=True)
     cols = []
     for b in bmat.columns():
@@ -287,14 +266,13 @@ def inverse(m: Matrix):
     return solve_matrix(m, Matrix.identity(m.field, m.rows))
 
 
-def quotient_representatives(span_cols, candidate_cols, field, dim):
-    """Columns among `candidate_cols` extending span(span_cols) to
-    span(span_cols + candidates); first-pivot convention.
+def quotient_representatives(span_cols, candidate_cols, field):
+    """The sparse columns among `candidate_cols` that extend
+    span(span_cols) to span(span_cols + candidates); first-pivot
+    convention.  With no span_cols, the first-pivot basis of their span.
 
     Used for cohomology representatives: candidates are kernel vectors,
     span_cols the image of the previous differential.
     """
-    k = len(span_cols)
-    E = ColumnEchelon(field, [_sparse(c) for c in
-                              list(span_cols) + list(candidate_cols)])
-    return [candidate_cols[j - k] for j in E.pivots if j >= k]
+    E = ColumnEchelon(field, span_cols)
+    return [c for c in candidate_cols if E.add(c)]

@@ -26,9 +26,9 @@ from fractions import Fraction
 
 from .algebras import CurvedAlgebra, CurvedModule
 from .graded import GradedVectorSpace
-from .linalg import (Matrix, eliminate, inverse, quotient_representatives,
-                     solve, solve_matrix)
-from .sparse import viadd
+from .linalg import (ColumnEchelon, Matrix, eliminate, inverse,
+                     quotient_representatives, solve_matrix)
+from .sparse import vadd, viadd, vneg, vscale
 
 
 class RefusedInput(ValueError):
@@ -175,22 +175,10 @@ def _nilpotency_index(A: OrdinaryAlgebra, ideal):
     for k in range(1, A.n + 2):
         if not current:
             return k
-        nxt = []
-        for v in current:
-            vv = {i: c for i, c in enumerate(v) if c}
-            for w in ideal:
-                ww = {i: c for i, c in enumerate(w) if c}
-                prod = A.mul(vv, ww)
-                if prod:
-                    col = [A.field.zero] * A.n
-                    for i, c in prod.items():
-                        col[i] = c
-                    nxt.append(col)
+        nxt = [prod for v in current for w in ideal if (prod := A.mul(v, w))]
         if not nxt:
             return k + 1
-        m = Matrix.from_cols(A.field, nxt, rows_hint=A.n)
-        _, _, image = eliminate(m)
-        current = image
+        current = quotient_representatives((), nxt, A.field)
     return None
 
 
@@ -202,25 +190,10 @@ def quotient_algebra(A: OrdinaryAlgebra, ideal):
     pivot), so the quotient is deterministic.
     """
     field = A.field
-    n = A.n
-    std = [[field.one if i == j else field.zero for i in range(n)]
-           for j in range(n)]
-    comp = quotient_representatives(ideal, std, field, n)
-    m = Matrix.from_cols(field, list(ideal) + comp, rows_hint=n)
-    minv = inverse(m) if m.rows == m.cols else None
-    if minv is None:
-        raise ValueError("ideal + complement do not span")
-    k = len(ideal)
-
-    def project(vec):
-        col = [field.zero] * n
-        for i, c in vec.items():
-            col[i] = c
-        x = minv.apply(col)
-        return {j: x[k + j] for j in range(len(comp)) if x[k + j]}
+    comp, project = _complement(field, ideal, A.n)
 
     def lift(j):
-        return {i: c for i, c in enumerate(comp[j]) if c}
+        return dict(comp[j])
 
     labels = [("s", j) for j in range(len(comp))]
     space = GradedVectorSpace({0: labels})
@@ -238,20 +211,17 @@ def quotient_algebra(A: OrdinaryAlgebra, ideal):
 
 def center(A: OrdinaryAlgebra):
     """Basis of the center: solutions of x e_i - e_i x = 0 for all i."""
-    field = A.field
     n = A.n
-    rows = []
-    for i in range(n):
-        # commutator condition rows for the unknown x = sum x_j e_j
-        for k in range(n):
-            row = []
-            for j in range(n):
-                lhs = A.mul(A.algebra.basis_vec(j), A.algebra.basis_vec(i))
-                rhs = A.mul(A.algebra.basis_vec(i), A.algebra.basis_vec(j))
-                row.append(lhs.get(k, field.zero) - rhs.get(k, field.zero))
-            rows.append(row)
-    m = Matrix.from_rows(field, rows) if rows else Matrix(field, 0, n)
-    _, kernel, _ = eliminate(m)
+    basis = [A.algebra.basis_vec(i) for i in range(n)]
+    # column j: the unknown x_j; row i * n + k: e_k in e_j e_i - e_i e_j
+    cols = []
+    for ej in basis:
+        col = {}
+        for i, ei in enumerate(basis):
+            comm = vadd(A.mul(ej, ei), vneg(A.mul(ei, ej)))
+            col.update((i * n + k, c) for k, c in comm.items())
+        cols.append(col)
+    _, kernel, _ = eliminate(Matrix.from_columns(A.field, n * n, cols))
     return kernel
 
 
@@ -259,27 +229,17 @@ def _minpoly(A: OrdinaryAlgebra, w, unit):
     """Monic minimal polynomial of w in the unital subalgebra with unit
     `unit` (coefficients listed from constant term up)."""
     field = A.field
-    n = A.n
-    powers = [dict(unit)]
+    # the powers w^0 = unit, w^1, ... as the columns of one echelon
+    E = ColumnEchelon(field, [unit], track=True)
+    power = unit
     while True:
-        cols = []
-        for pw in powers:
-            col = [field.zero] * n
-            for i, c in pw.items():
-                col[i] = c
-            cols.append(col)
-        nxt = A.mul(powers[-1], w)
-        target = [field.zero] * n
-        for i, c in nxt.items():
-            target[i] = c
-        m = Matrix.from_cols(field, cols, rows_hint=n)
-        x = solve(m, target)
+        power = A.mul(power, w)
+        x = E.solve(power)
         if x is not None:
             # w^k = sum x_i w^i  ->  minpoly = t^k - sum x_i t^i
-            coeffs = [-c for c in x] + [field.one]
-            return coeffs
-        powers.append(nxt)
-        if len(powers) > n + 1:
+            return [-x.get(i, field.zero) for i in range(E.cols)] + [field.one]
+        E.add(power)
+        if E.cols > A.n + 1:
             raise AssertionError("minimal polynomial search ran away")
 
 
@@ -348,8 +308,7 @@ def central_idempotents(S: OrdinaryAlgebra):
     field = S.field
     Z = center(S)
     blocks = [S.unit()]
-    for zcol in Z:
-        z = {i: c for i, c in enumerate(zcol) if c}
+    for z in Z:
         again = True
         while again:
             again = False
@@ -370,11 +329,7 @@ def central_idempotents(S: OrdinaryAlgebra):
                     for mu in roots:
                         if mu == lam:
                             continue
-                        factor = dict(w)
-                        for i, c in e.items():
-                            factor[i] = factor.get(i, field.zero) - mu * c
-                        factor = {i: c for i, c in factor.items() if c}
-                        proj = S.mul(proj, factor)
+                        proj = S.mul(proj, vadd(w, vscale(-mu, e)))
                         proj = {i: c / (lam - mu) for i, c in proj.items()}
                     new_blocks.append(proj)
                 again = True
@@ -382,9 +337,7 @@ def central_idempotents(S: OrdinaryAlgebra):
     # sanity: orthogonal idempotents summing to 1
     total = {}
     for e in blocks:
-        for i, c in e.items():
-            total[i] = total.get(i, field.zero) + c
-    total = {i: c for i, c in total.items() if c}
+        viadd(total, e)
     if total != S.unit():
         raise AssertionError("idempotents do not sum to the unit")
     for e in blocks:
@@ -393,66 +346,72 @@ def central_idempotents(S: OrdinaryAlgebra):
     return blocks
 
 
-def _subspace_basis(field, cols, dim):
-    if not cols:
-        return []
-    m = Matrix.from_cols(field, cols, rows_hint=dim)
-    _, _, image = eliminate(m)
-    return image
-
-
-def _submodule_span(A: OrdinaryAlgebra, mats, vectors, dim):
-    """Closure of span(vectors) under the action matrices."""
-    basis = _subspace_basis(A.field, vectors, dim)
-    while True:
-        new = list(basis)
-        for v in basis:
-            for m in mats:
-                new.append(m.apply(v))
-        nb = _subspace_basis(A.field, new, dim)
-        if len(nb) == len(basis):
-            return nb
-        basis = nb
+def _submodule_span(A: OrdinaryAlgebra, mats, vectors):
+    """Closure of span(vectors) under the action matrices: a first-pivot
+    basis, built in one echelon.  Each round adds the images of the
+    vectors the round before added, in (vector, matrix) order; the images
+    of older vectors already lie in the span."""
+    E = ColumnEchelon(A.field)
+    added = [v for v in vectors if E.add(v)]
+    basis = list(added)
+    while added:
+        added = [img for v in added for m in mats if E.add(img := m.apply(v))]
+        basis.extend(added)
+    return basis
 
 
 def _module_on_subspace(A: OrdinaryAlgebra, mats, basis):
     """Restrict action matrices to an invariant subspace (basis columns)."""
-    field = A.field
-    dim = len(basis[0]) if basis else 0
-    bm = Matrix.from_cols(field, basis, rows_hint=dim)
-    sub_mats = []
-    for m in mats:
-        cols = []
-        for v in basis:
-            img = m.apply(v)
-            x = solve(bm, img)
-            if x is None:
-                raise AssertionError("subspace is not invariant")
-            cols.append(x)
-        sub_mats.append(Matrix.from_cols(field, cols,
-                                         rows_hint=len(basis)))
-    return sub_mats
+    t = len(basis)
+    xs = _coordinates(Matrix.from_columns(A.field, mats[0].rows, basis),
+                      [m.apply(v) for m in mats for v in basis],
+                      "subspace is not invariant")
+    return [Matrix.from_columns(A.field, t, xs[i * t:(i + 1) * t])
+            for i in range(len(mats))]
+
+
+def _complement(field, sub, dim):
+    """Standard basis vectors completing the independent `sub` to a basis
+    of the dim-space (first pivot), and the map sending a vector to its
+    coordinates on them modulo span(sub)."""
+    comp = quotient_representatives(
+        sub, Matrix.identity(field, dim).columns(), field)
+    minv = inverse(Matrix.from_columns(field, dim, list(sub) + comp))
+    if minv is None:
+        raise ValueError("subspace + complement do not span")
+    k = len(sub)
+
+    def project(vec):
+        return {j - k: c for j, c in minv.apply(vec).items() if j >= k}
+
+    return comp, project
+
+
+def _quotient_module(field, mats, sub, dim):
+    """Action matrices on the quotient of the dim-space by the invariant
+    span(sub), in the basis `_complement` picks."""
+    comp, project = _complement(field, sub, dim)
+    return [Matrix.from_columns(field, len(comp),
+                                [project(m.apply(v)) for v in comp])
+            for m in mats]
 
 
 def _min_ideal_candidates(S: OrdinaryAlgebra, e_basis, seed=777):
     """Deterministic candidate generators for a minimal left ideal."""
     field = S.field
-    cands = [list(v) for v in e_basis]
-    for a, b in itertools.combinations(range(len(e_basis)), 2):
-        cands.append([x + y for x, y in zip(e_basis[a], e_basis[b])])
-        cands.append([x - y for x, y in zip(e_basis[a], e_basis[b])])
+    cands = list(e_basis)
+    for x, y in itertools.combinations(e_basis, 2):
+        cands.append(vadd(x, y))
+        cands.append(vadd(x, vneg(y)))
     # elements b - lambda.e for rational eigenvalues lambda: reliably
     # non-invertible inside the block
     rng = _random.Random(seed)
     for _ in range(40):
-        v = [field.zero] * len(e_basis[0])
+        v = {}
         for col in e_basis:
-            c = field(rng.randint(-2, 2))
-            for i, x in enumerate(col):
-                if x:
-                    v[i] = v[i] + c * x
+            viadd(v, col, field(rng.randint(-2, 2)))
         cands.append(v)
-    return [c for c in cands if any(c)]
+    return [c for c in cands if c]
 
 
 def block_simple_module(S: OrdinaryAlgebra, e, seed=777):
@@ -464,36 +423,23 @@ def block_simple_module(S: OrdinaryAlgebra, e, seed=777):
     field = S.field
     mats = [S.left_mult_matrix(S.algebra.basis_vec(i)) for i in range(S.n)]
     # block subspace e.S.e? For a central idempotent, the block is e.S
-    block_cols = []
-    for i in range(S.n):
-        v = S.mul(e, S.algebra.basis_vec(i))
-        col = [field.zero] * S.n
-        for k, c in v.items():
-            col[k] = c
-        block_cols.append(col)
-    e_basis = _subspace_basis(field, block_cols, S.n)
+    e_basis = quotient_representatives(
+        (), [S.mul(e, S.algebra.basis_vec(i)) for i in range(S.n)], field)
     block_dim = len(e_basis)
 
     # eigenvalue-shift candidates: b - lambda.e with lambda a root of the
     # minimal polynomial of b in the block
     extra = []
-    for col in e_basis:
-        b = {i: c for i, c in enumerate(col) if c}
+    for b in e_basis:
         mp = _minpoly(S, S.mul(e, b), e)
         for lam in _poly_roots(field, mp):
-            shifted = dict(b)
-            for i, c in e.items():
-                shifted[i] = shifted.get(i, field.zero) - lam * c
-            v = [field.zero] * S.n
-            for i, c in shifted.items():
-                if c:
-                    v[i] = c
-            if any(v):
-                extra.append(v)
+            shifted = vadd(b, vscale(-lam, e))
+            if shifted:
+                extra.append(shifted)
 
     best = None
     for v in _min_ideal_candidates(S, e_basis) + extra:
-        span = _submodule_span(S, mats, [v], S.n)
+        span = _submodule_span(S, mats, [v])
         d = len(span)
         if d == 0:
             continue
@@ -530,21 +476,11 @@ def count_simples(A: OrdinaryAlgebra, with_modules=False):
             "dimension: extend the field")
     if not with_modules:
         return len(blocks)
-    simples = []
-    for basis, _ in found:
-        # action of A through the projection
-        bm = Matrix.from_cols(S.field, basis, rows_hint=S.n)
-        mats = []
-        for i in range(A.n):
-            img = project(A.algebra.basis_vec(i))
-            Lm = S.left_mult_matrix(img)
-            cols = []
-            for v in basis:
-                x = solve(bm, Lm.apply(v))
-                cols.append(x)
-            mats.append(Matrix.from_cols(S.field, cols,
-                                         rows_hint=len(basis)))
-        simples.append(OrdinaryModule(A, mats))
+    # the action of A through the projection
+    through = [S.left_mult_matrix(project(A.algebra.basis_vec(i)))
+               for i in range(A.n)]
+    simples = [OrdinaryModule(A, _module_on_subspace(S, through, basis))
+               for basis, _ in found]
     return len(blocks), simples
 
 
@@ -565,11 +501,10 @@ def decompose_regular_semisimple(A: OrdinaryAlgebra, seed=99):
     dim = S.n
     while dim > 0:
         # find a minimal submodule by shrinking
-        std = [[S.field.one if i == j else S.field.zero for i in range(dim)]
-               for j in range(dim)]
+        std = Matrix.identity(S.field, dim).columns()
         best = None
         for v0 in _min_ideal_candidates(S, std, seed):
-            span = _submodule_span(S, current_mats, [v0], dim)
+            span = _submodule_span(S, current_mats, [v0])
             if 0 < len(span) and (best is None or len(span) < len(best)):
                 best = span
         if best is None:
@@ -577,23 +512,10 @@ def decompose_regular_semisimple(A: OrdinaryAlgebra, seed=99):
         sub = _module_on_subspace(S, current_mats, best)
         reps.append(sub)
         # quotient by the submodule and continue
-        std = [[S.field.one if i == j else S.field.zero for i in range(dim)]
-               for j in range(dim)]
-        comp = quotient_representatives(best, std, S.field, dim)
-        if not comp:
+        if len(best) == dim:
             break
-        m = Matrix.from_cols(S.field, list(best) + comp, rows_hint=dim)
-        minv = inverse(m)
-        qmats = []
-        k = len(best)
-        for mm in current_mats:
-            cols = []
-            for v in comp:
-                x = minv.apply(mm.apply(v))
-                cols.append(x[k:])
-            qmats.append(Matrix.from_cols(S.field, cols, rows_hint=len(comp)))
-        current_mats = qmats
-        dim = len(comp)
+        current_mats = _quotient_module(S.field, current_mats, best, dim)
+        dim -= len(best)
     # dedup by intertwiner existence
     distinct = []
     for mats1 in reps:
@@ -655,10 +577,14 @@ def hom_modules(A: OrdinaryAlgebra, M: OrdinaryModule, N: OrdinaryModule):
     if dm == 0 or dn == 0:
         return []
     _, kernel, _ = eliminate(_intertwiner_system(field, M.mats, N.mats))
-    return [Matrix.from_columns(field, dn,
-                                [{r: v[r * dm + c] for r in range(dn)
-                                  if v[r * dm + c]} for c in range(dm)])
-            for v in kernel]
+    out = []
+    for v in kernel:
+        cols = [{} for _ in range(dm)]
+        for k, x in v.items():
+            r, c = divmod(k, dm)
+            cols[c][r] = x
+        out.append(Matrix.from_columns(field, dn, cols))
+    return out
 
 
 @dataclass
@@ -750,16 +676,20 @@ def morita_unit(md: MoritaData, N: OrdinaryModule):
 def _top_lifts(A: OrdinaryAlgebra, M: OrdinaryModule, rad):
     """Representatives of a basis of M / rad.M (first-pivot convention)."""
     field = A.field
-    radm_cols = []
-    for v in rad:
-        vec = {i: c for i, c in enumerate(v) if c}
-        rho = M.act_matrix(vec)
-        for j in range(M.dim):
-            radm_cols.append(rho.col(j))
-    radm = _subspace_basis(field, radm_cols, M.dim)
-    std = [[field.one if i == j else field.zero for i in range(M.dim)]
-           for j in range(M.dim)]
-    return quotient_representatives(radm, std, field, M.dim), radm
+    radm = quotient_representatives(
+        (), [col for v in rad for col in M.act_matrix(v).columns()], field)
+    return (quotient_representatives(
+        radm, Matrix.identity(field, M.dim).columns(), field), radm)
+
+
+def _blocks(v, n, t):
+    """A vector of A^t, with A-coordinate k of slot s at s * n + k, split
+    into its t vectors of A."""
+    out = [{} for _ in range(t)]
+    for r, c in v.items():
+        slot, k = divmod(r, n)
+        out[slot][k] = c
+    return out
 
 
 def free_resolution(A: OrdinaryAlgebra, M: OrdinaryModule, length: int):
@@ -786,23 +716,19 @@ def free_resolution(A: OrdinaryAlgebra, M: OrdinaryModule, length: int):
         ranks.append(t)
         if embed is not None:
             # delta: A^t -> A^{t_prev}: generator g -> embed(top_g)
-            delta = [[{} for _ in range(t)] for _ in range(t_prev)]
-            for g, top in enumerate(tops):
+            columns = []
+            for top in tops:
                 # top is a vector in cur; its embedding is a column in
                 # A^{t_prev}
-                col = [field.zero] * (n * t_prev)
-                for i, c in enumerate(top):
-                    if c:
-                        for r in range(n * t_prev):
-                            col[r] = col[r] + c * embed[i][r]
-                for slot in range(t_prev):
-                    entry = {k: col[slot * n + k] for k in range(n)
-                             if col[slot * n + k]}
-                    delta[slot][g] = entry
-            deltas.append(delta)
+                col = {}
+                for i, c in top.items():
+                    viadd(col, embed[i], c)
+                columns.append(_blocks(col, n, t_prev))
+            deltas.append([[columns[g][slot] for g in range(t)]
+                           for slot in range(t_prev)])
         # kernel of A^t -> cur, as a module with embedding into A^t:
         # column g * n + k of the cover is e_k . top_g
-        tops_m = Matrix.from_cols(field, tops, rows_hint=cur.dim)
+        tops_m = Matrix.from_columns(field, cur.dim, tops)
         acted = [(rho @ tops_m).columns() for rho in cur.mats]
         cov = Matrix.from_columns(field, cur.dim,
                                   [acted[k][g] for g in range(t)
@@ -814,16 +740,16 @@ def free_resolution(A: OrdinaryAlgebra, M: OrdinaryModule, length: int):
             break
         # kernel as a module: basis vectors live in A^t
         kb = kernel
-        km = Matrix.from_cols(field, kb, rows_hint=n * t)
+        km = Matrix.from_columns(field, n * t, kb)
+        parts = [_blocks(v, n, t) for v in kb]
         imgs = []
         for i in range(n):
-            for v in kb:
+            ei = A.algebra.basis_vec(i)
+            for blocks in parts:
                 img = {}
-                for slot in range(t):
-                    xvec = {k: v[slot * n + k] for k in range(n)
-                            if v[slot * n + k]}
-                    out = A.mul(A.algebra.basis_vec(i), xvec)
-                    img.update((slot * n + k, c) for k, c in out.items())
+                for slot, xvec in enumerate(blocks):
+                    img.update((slot * n + k, c)
+                               for k, c in A.mul(ei, xvec).items())
                 imgs.append(img)
         xs = _coordinates(km, imgs, "kernel is not a submodule")
         q = len(kb)

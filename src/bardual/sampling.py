@@ -17,6 +17,7 @@ from .algebras import (CurvedAlgebra, CurvedModule, acyclic_two_dim,
                        product)
 from .graded import Complex, GradedMap, GradedVectorSpace
 from .linalg import Matrix, inverse
+from .sparse import vec
 from .twisting import twist_algebra, twist_module
 
 
@@ -47,9 +48,8 @@ def _blocks(field):
 
 def random_invertible(field, n, rng) -> Matrix:
     while True:
-        m = Matrix(field, n, n,
-                   [[field(rng.randint(-2, 2)) for _ in range(n)]
-                    for _ in range(n)])
+        m = Matrix.from_rows(field, [[field(rng.randint(-2, 2))
+                                      for _ in range(n)] for _ in range(n)])
         if inverse(m) is not None:
             return m
 
@@ -174,8 +174,8 @@ def random_acyclic_complex(field, seed: int, max_dim=3) -> Complex:
 def random_ordinary_module(A, seed: int, max_dim: int = 4):
     """A random module over an ordinary algebra: quotient of a free module
     by the submodule generated by random elements; dimension <= max_dim."""
-    from .linalg import quotient_representatives
-    from .morita import OrdinaryModule, regular_ordinary
+    from .morita import (OrdinaryModule, _quotient_module, _submodule_span,
+                         regular_ordinary)
     rng = _random.Random(seed)
     n = A.n
     field = A.field
@@ -193,26 +193,12 @@ def random_ordinary_module(A, seed: int, max_dim: int = 4):
     # random generators of a submodule
     gens = []
     for _ in range(rng.randint(1, 3)):
-        v = [field(rng.randint(-2, 2)) for _ in range(dim)]
-        if any(v):
+        v = vec(*enumerate(field(rng.randint(-2, 2)) for _ in range(dim)))
+        if v:
             gens.append(v)
-    from .morita import _submodule_span
-    sub = _submodule_span(A, mats, gens, dim) if gens else []
+    sub = _submodule_span(A, mats, gens)
     if len(sub) == dim:
         sub = []
-    std = [[field.one if i == j else field.zero for i in range(dim)]
-           for j in range(dim)]
-    comp = quotient_representatives(sub, std, field, dim)
-    if not comp or len(comp) > max_dim:
+    if dim - len(sub) > max_dim:
         return None
-    m = Matrix.from_cols(field, list(sub) + comp, rows_hint=dim)
-    minv = inverse(m)
-    k = len(sub)
-    qmats = []
-    for mm in mats:
-        cols = []
-        for v in comp:
-            x = minv.apply(mm.apply(v))
-            cols.append(x[k:])
-        qmats.append(Matrix.from_cols(field, cols, rows_hint=len(comp)))
-    return OrdinaryModule(A, qmats)
+    return OrdinaryModule(A, _quotient_module(field, mats, sub, dim))

@@ -240,9 +240,7 @@ def test_c07_twist_round_trips():
 
 def _principal_submodule(A, idx):
     reg = regular_ordinary(A)
-    v = [A.field.zero] * A.n
-    v[idx] = A.field.one
-    basis = _submodule_span(A, reg.mats, [v], A.n)
+    basis = _submodule_span(A, reg.mats, [{idx: A.field.one}])
     mats = _module_on_subspace(A, reg.mats, basis)
     return OrdinaryModule(A, mats)
 

@@ -429,7 +429,7 @@ def test_cup_product_ring_structure_on_cohomology():
     # for the dual numbers with one-dimensional coefficients the cohomology
     # of the Hochschild algebra is a polynomial ring on a degree-1 class:
     # powers of a degree-1 representative stay nonzero in cohomology
-    from bardual.linalg import Matrix, eliminate, solve
+    from bardual.linalg import Matrix, solve_matrix
     A = builtin_algebra("dual_numbers")
     M = builtin_module(A, "dual_numbers", "k")
     W = 5
@@ -438,7 +438,7 @@ def test_cup_product_ring_structure_on_cohomology():
     assert coh[1].betti == 1
     # lift the degree-1 representative to a sparse algebra element
     idxs = E.by_degree[1]
-    rep = {idxs[p]: c for p, c in enumerate(coh[1].representatives[0]) if c}
+    rep = {idxs[p]: c for p, c in coh[1].representatives[0].items()}
     power = dict(rep)
     for n in range(2, W - 1):
         power = E.mul(power, rep)
@@ -449,10 +449,9 @@ def test_cup_product_ring_structure_on_cohomology():
         pos = {k: p for p, k in enumerate(rows)}
         m = Matrix.from_columns(E.field, len(rows), [
             {pos[k]: v for k, v in E.diff.get(i, {}).items()} for i in cols])
-        target = [E.field.zero] * len(rows)
-        for k, v in power.items():
-            target[pos[k]] = v
-        assert solve(m, target) is None, n
+        target = {pos[k]: v for k, v in power.items()}
+        assert solve_matrix(m, Matrix.from_columns(E.field, len(rows),
+                                                   [target])) is None, n
         # and it is a cocycle
         assert E.d(power) == {}, n
 

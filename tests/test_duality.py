@@ -212,18 +212,15 @@ def test_hom_dual_pairing_is_perfect():
             psi = from_h.basis[0][b]    # slots (K index, m index)
             # compose: M -> K -> M, read the coefficient of id
             cols = [{}, {}]
-            for p1, (mi, ki) in enumerate(to_h.slots[0]):
-                c1 = phi[p1]
-                if not c1:
-                    continue
-                for p2, (kj, mj) in enumerate(from_h.slots[0]):
-                    c2 = psi[p2]
-                    if c2 and kj == ki:
+            for p1, c1 in phi.items():
+                mi, ki = to_h.slots[0][p1]
+                for p2, c2 in psi.items():
+                    kj, mj = from_h.slots[0][p2]
+                    if kj == ki:
                         viadd(cols[mi], {mj: c1 * c2})
-            comp = Matrix.from_columns(QQ, 2, cols)
-            assert comp.col(1)[0] == 0 and comp.col(0)[1] == 0
-            assert comp.col(0)[0] == comp.col(1)[1]
-            pm[a].append(comp.col(0)[0])
+            assert 0 not in cols[1] and 1 not in cols[0]
+            assert cols[0].get(0, 0) == cols[1].get(1, 0)
+            pm[a].append(cols[0].get(0, QQ.zero))
     r, _, _ = eliminate(Matrix.from_rows(QQ, pm))
     assert r == n
 

@@ -209,7 +209,8 @@ def test_cohomology_representatives_are_pinned(field):
                               for r in ([2, 4, 0, -1], [0, 3, 1, 3])])
     C = Complex(f, V, GradedMap(f, V, V, 1, {0: d0, 1: d1}))
     coh = cohomology(C)
-    got = {n: [[str(x) for x in r] for r in h.representatives]
+    got = {n: [[str(r.get(i, f.zero)) for i in range(V.dim(n))]
+               for r in h.representatives]
            for n, h in coh.items()}
     h1 = ["2/3", "-1/3", "1", "0"] if f is QQ else ["3", "2", "1", "0"]
     assert got == {0: [["0", "1", "0"], ["2", "0", "1"]], 1: [h1], 2: []}

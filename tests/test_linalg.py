@@ -4,11 +4,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bardual.fields import GF, QQ
-from bardual.linalg import Matrix, eliminate, inverse, rank, solve
+from bardual.linalg import (ColumnEchelon, Matrix, eliminate, inverse,
+                            quotient_representatives, rank, solve_matrix)
+from bardual.sparse import vec
 
 
 def qm(rows):
     return Matrix.from_rows(QQ, [[Fraction(v) for v in r] for r in rows])
+
+
+def solve(m, b):
+    """The solution of m @ x = b for one sparse b, or None."""
+    x = solve_matrix(m, Matrix.from_columns(m.field, m.rows, [b]))
+    return None if x is None else x.columns()[0]
 
 
 def test_identity_full_rank():
@@ -24,26 +32,26 @@ def test_zero_matrix_kernel_everything():
 def test_rank_one_kernel():
     r, kernel, _ = eliminate(qm([[1, 2], [2, 4]]))
     assert r == 1
-    assert kernel == [[Fraction(-2), Fraction(1)]]
+    assert kernel == [{0: Fraction(-2), 1: Fraction(1)}]
 
 
 def test_solve_identity():
-    b = [Fraction(3), Fraction(-5)]
+    b = {0: Fraction(3), 1: Fraction(-5)}
     assert solve(Matrix.identity(QQ, 2), b) == b
 
 
 def test_solve_zero_matrix_no_solution():
-    assert solve(Matrix(QQ, 2, 2), [Fraction(1), Fraction(0)]) is None
+    assert solve(Matrix(QQ, 2, 2), {0: Fraction(1)}) is None
 
 
 def test_solve_back_substitution():
-    x = solve(qm([[1, 1], [0, 1]]), [Fraction(3), Fraction(1)])
-    assert x == [Fraction(2), Fraction(1)]
+    x = solve(qm([[1, 1], [0, 1]]), {0: Fraction(3), 1: Fraction(1)})
+    assert x == {0: Fraction(2), 1: Fraction(1)}
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve(qm([[1, 1]]), [Fraction(1), Fraction(2)])
+        solve_matrix(qm([[1, 1]]), qm([[1], [2]]))
 
 
 def test_empty_matrix():
@@ -60,9 +68,8 @@ def test_solutions_and_kernels_are_exact(rows):
     m = qm(rows)
     r, kernel, image = eliminate(m)
     assert r + len(kernel) == m.cols
-    zero = [QQ.zero] * m.rows
     for v in kernel:
-        assert m.apply(v) == zero
+        assert m.apply(v) == {}
     for col in image:
         assert solve(m, col) is not None
 
@@ -79,7 +86,7 @@ def test_rank_equals_rank_of_transpose(rows):
        st.lists(small_entries, min_size=2, max_size=2))
 def test_returned_solutions_satisfy_the_system(rows, b):
     m = qm(rows)
-    bq = [Fraction(v) for v in b]
+    bq = vec(*enumerate(Fraction(v) for v in b))
     x = solve(m, bq)
     if x is not None:
         assert m.apply(x) == bq
@@ -90,7 +97,7 @@ def test_prime_field_elimination():
     m = Matrix.from_rows(F, [[F(1), F(2)], [F(2), F(4)]])
     r, kernel, _ = eliminate(m)
     assert r == 1 and len(kernel) == 1
-    assert m.apply(kernel[0]) == [F.zero, F.zero]
+    assert m.apply(kernel[0]) == {}
 
 
 def test_inverse_round_trip():
@@ -174,20 +181,19 @@ def test_elimination_kernel_image_and_nullity(data):
     assert r + len(kernel) == m.cols
     pivots = first_pivot_columns(field, rows, m.cols)
     assert r == len(pivots)
-    assert image == [m.col(j) for j in pivots]
+    assert image == [m.columns()[j] for j in pivots]
     free = [j for j in range(m.cols) if j not in pivots]
     assert len(kernel) == len(free)
-    zero = [field.zero] * m.rows
     for j, v in zip(free, kernel):
-        assert m.apply(v) == zero
+        assert m.apply(v) == {}
         # reduced-echelon shape: 1 at its own free column, 0 at the others,
         # nothing past its own column
         assert v[j] == field.one
-        assert all(not v[k] for k in free if k != j)
-        assert all(not x for x in v[j + 1:])
-    # a dense matrix with the same entries gives the same answers
-    assert eliminate(Matrix(field, m.rows, m.cols, rows)) == (r, kernel,
-                                                              image)
+        assert all(k not in v for k in free if k != j)
+        assert max(v) == j
+    # the matrix built from its dense rows gives the same answers
+    dense = Matrix.from_rows(field, rows) if rows else Matrix(field, 0, m.cols)
+    assert eliminate(dense) == (r, kernel, image)
 
 
 @given(sparse_matrices(), st.data())
@@ -196,12 +202,13 @@ def test_solve_succeeds_exactly_when_solvable(data, draw):
     if draw.draw(st.booleans()):
         xs = draw.draw(st.lists(st.integers(min_value=-2, max_value=2),
                                 min_size=m.cols, max_size=m.cols))
-        b = m.apply([field(x) for x in xs])
+        b = m.apply(vec(*enumerate(field(x) for x in xs)))
     else:
-        b = [field(v) for v in draw.draw(
+        b = vec(*enumerate(field(v) for v in draw.draw(
             st.lists(st.integers(min_value=-2, max_value=2),
-                     min_size=m.rows, max_size=m.rows))]
-    solvable = (reference_rank(field, [r + [c] for r, c in zip(rows, b)])
+                     min_size=m.rows, max_size=m.rows))))
+    dense_b = [b.get(i, field.zero) for i in range(m.rows)]
+    solvable = (reference_rank(field, [r + [c] for r, c in zip(rows, dense_b)])
                 == reference_rank(field, rows))
     x = solve(m, b)
     assert (x is not None) == solvable
@@ -210,8 +217,9 @@ def test_solve_succeeds_exactly_when_solvable(data, draw):
 
 
 # ---------------------------------------------------------------------------
-# one representation: sparse columns that never store a zero, so that a
-# matrix built through a cancellation equals the one built directly
+# one representation: sparse columns and vectors that never store a zero,
+# so that a matrix or vector built through a cancellation equals the one
+# built directly
 
 
 def stores_no_zero(m):
@@ -247,3 +255,29 @@ def test_matrices_are_sparse_columns_with_no_zero_stored():
     for built, direct in built_and_direct:
         assert stores_no_zero(built) and stores_no_zero(direct)
         assert built == direct
+
+    # every vector linalg returns is such a dict; column 2 of c is the sum
+    # of the first two, whose second rows cancel
+    from bardual.graded import (Complex, GradedMap, GradedVectorSpace,
+                                cohomology)
+    c = qm([[1, 1, 2], [1, -1, 0]])
+    one = QQ.one
+    V = GradedVectorSpace({0: ["a", "b"], 1: ["c"]})
+    C = Complex(QQ, V, GradedMap(QQ, V, V, 1, {0: qm([[1, -1]])}))
+    _, kernel, image = eliminate(c)
+    returned_and_direct = [
+        (kernel, [{0: -one, 1: -one, 2: one}]),
+        (image, [{0: one, 1: one}, {0: one, 1: -one}]),
+        ([c.apply({0: one, 1: one})], [{0: Fraction(2)}]),
+        ([Matrix.from_rows(F, [[F(3), F(4)]]).apply({0: F(1), 1: F(1)})],
+         [{}]),
+        ([ColumnEchelon(QQ, c.columns(), track=True).solve({0: one})],
+         [{0: Fraction(1, 2), 1: Fraction(1, 2)}]),
+        (quotient_representatives([{0: one, 1: one}],
+                                  Matrix.identity(QQ, 2).columns(), QQ),
+         [{0: one}]),
+        (cohomology(C)[0].representatives, [{0: one, 1: one}]),
+    ]
+    for returned, direct in returned_and_direct:
+        assert all(type(v) is dict and all(v.values()) for v in returned)
+        assert returned == direct

@@ -4,8 +4,8 @@ from bardual.algebras import algebra_from_tables, product
 from bardual.catalog import builtin_algebra
 from bardual.fields import GF, QQ
 from bardual.graded import cohomology, dual_complex
-from bardual.morita import (OrdinaryAlgebra, _nilpotency_index,
-                            classical_F, count_simples,
+from bardual.morita import (OrdinaryAlgebra, _module_on_subspace,
+                            _nilpotency_index, classical_F, count_simples,
                             decompose_regular_semisimple, ext_oracle,
                             free_resolution, gamma, global_dimension_probe,
                             hom_modules, injective_cogenerator, morita_unit,
@@ -52,7 +52,7 @@ def test_radical_dual_numbers():
     r = radical(A)
     assert len(r) == 1
     x = A.algebra.idx(0, "x")
-    assert r[0][x] and not r[0][A.algebra.idx(0, "1")]
+    assert r[0][x] and A.algebra.idx(0, "1") not in r[0]
 
 
 def test_radical_upper_triangular():
@@ -121,6 +121,18 @@ def test_simple_modules_are_simple_sized():
     assert len(mods) == 1 and mods[0].dim == 2
     A = ord_("upper_tri_2")
     assert sorted(m.dim for m in simple_modules(A)) == [1, 1]
+
+
+def test_module_on_subspace_refuses_a_non_invariant_subspace():
+    # in k[x]/x^2 acting on itself, x.1 = x: span{x} is a submodule and
+    # span{1} is not
+    A = ord_("dual_numbers")
+    mats = regular_ordinary(A).mats
+    one, x = A.algebra.idx(0, "1"), A.algebra.idx(0, "x")
+    sub = _module_on_subspace(A, mats, [{x: QQ.one}])
+    assert [m.columns() for m in sub] == [[{0: QQ.one}], [{}]]
+    with pytest.raises(AssertionError, match="subspace is not invariant"):
+        _module_on_subspace(A, mats, [{one: QQ.one}])
 
 
 # ---------------------------------------------------------------------------
