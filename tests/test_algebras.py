@@ -406,3 +406,114 @@ def test_identity_is_left_unit_for_composition():
     g = CurvedMorphism(Ax, A, {i: A.basis_vec(i) for i in range(A.dim)}, xi)
     comp = compose_curved(identity_morphism(A), g)
     assert comp.f == g.f and comp.a == g.a
+
+
+# The O(n) identities of the two validators: units, degrees and d^2.
+# Each case changes one entry of a small valid algebra or module (or none)
+# and pins the exact (identity, witness) pairs the validator reports.
+
+def zero_products(field, components, diff_table, unit="1"):
+    """Every product of two non-unit basis elements is zero."""
+    return algebra_from_tables(field, components, unit, {}, diff_table,
+                               check=False)
+
+
+def small_dg():
+    """1, e, f, g in degrees 0..3 with d(e) = f."""
+    return zero_products(QQ, {0: ["1"], 1: ["e"], 2: ["f"], 3: ["g"]},
+                         {"e": [(QQ(1), "f")]})
+
+
+def curved_line():
+    """1, h in degrees 0, 2 with h^2 = 0 and curvature h."""
+    return algebra_from_tables(QQ, {0: ["1"], 2: ["h"]}, "1", {}, {},
+                               curvature=[(QQ(1), "h")], check=False)
+
+
+def curved_module():
+    """m0, m1, m2 in degrees 0..2 over curved_line: d m0 = m1, d m1 = m2
+    and h.m0 = m2, so d^2 = h. on every basis vector."""
+    C = curved_line()
+    u, h = C.idx(0, "1"), C.idx(2, "h")
+    action = {(u, j): {j: QQ(1)} for j in range(3)}
+    action[(h, 0)] = {2: QQ(1)}
+    return C, CurvedModule(C, GradedVectorSpace({0: ["m0"], 1: ["m1"],
+                                                 2: ["m2"]}),
+                           action, {0: {1: QQ(1)}, 1: {2: QQ(1)}},
+                           check=False)
+
+
+def with_algebra(A, **changes):
+    parts = dict(unit=A.unit, mult=A.mult, diff=A.diff,
+                 curvature=A.curvature)
+    parts.update(changes)
+    return CurvedAlgebra(A.field, A.space, check=False, **parts)
+
+
+def with_module(M, **changes):
+    parts = dict(action=M.action, diff=M.diff)
+    parts.update(changes)
+    return CurvedModule(M.algebra, M.space, check=False, **parts)
+
+
+def corrupted(case):
+    """The object of one pinned case."""
+    D, T = dual_numbers(), small_dg()
+    C, P = curved_module()
+    one, x = D.idx(0, "1"), D.idx(0, "x")
+    e, f, g = T.idx(1, "e"), T.idx(2, "f"), T.idx(3, "g")
+    h = C.idx(2, "h")
+    return {
+        "left-unit": lambda: with_algebra(
+            D, mult=bumped(D.mult, (one, x), one)),
+        "right-unit": lambda: with_algebra(
+            D, mult=bumped(D.mult, (x, one), one)),
+        "unit-degree": lambda: with_algebra(C, unit={0: QQ(1), h: QQ(1)}),
+        "mult-degree": lambda: with_algebra(T, mult=bumped(T.mult, (e, e), g)),
+        "diff-degree": lambda: with_algebra(D, diff=bumped(D.diff, x, x)),
+        "d-squared": lambda: with_algebra(T, diff=bumped(T.diff, f, g)),
+        "d-of-curvature": lambda: with_algebra(T, curvature={e: QQ(1)}),
+        "curved-algebra": lambda: C,
+        "unital-action": lambda: with_module(
+            P, action=bumped(P.action, (0, 1), 1)),
+        "module-d-squared": lambda: with_module(
+            P, diff=bumped(P.diff, 1, 2, QQ(-1))),
+        "action-degree": lambda: with_module(
+            P, action=bumped(P.action, (h, 0), 1)),
+        "mdiff-degree": lambda: with_module(P, diff=bumped(P.diff, 0, 2)),
+        "curved-module": lambda: P,
+    }[case]()
+
+
+PINNED_IDENTITIES = {
+    "left-unit": [("left-unit", (1,)), ("associativity", (0, 0, 1)),
+                  ("associativity", (0, 1, 1)),
+                  ("associativity", (1, 0, 1))],
+    "right-unit": [("right-unit", (1,)), ("associativity", (1, 0, 0)),
+                   ("associativity", (1, 0, 1)),
+                   ("associativity", (1, 1, 0))],
+    "unit-degree": [("unit-degree", (1,)), ("left-unit", (0,)),
+                    ("right-unit", (0,))],
+    "mult-degree": [("mult-degree", (1, 1, 3))],
+    "diff-degree": [("diff-degree", (1, 1)), ("d-squared", (1,))],
+    "d-squared": [("d-squared", (1,))],
+    "d-of-curvature": [("curvature-degree", (1,)), ("d-of-curvature", ())],
+    "curved-algebra": [],
+    "unital-action": [("unital-action", (1,)),
+                      ("action-associativity", (0, 0, 1)),
+                      ("module-leibniz", (0, 0)),
+                      ("module-leibniz", (0, 1))],
+    "module-d-squared": [("module-d-squared", (0,))],
+    "action-degree": [("action-degree", (1, 0, 1)),
+                      ("module-leibniz", (1, 0)),
+                      ("module-d-squared", (0,))],
+    "mdiff-degree": [("mdiff-degree", (0, 2))],
+    "curved-module": [],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_IDENTITIES))
+def test_linear_identities_are_pinned(case):
+    rep = corrupted(case).validate()
+    assert [(f.identity, f.witness) for f in rep.failures] \
+        == PINNED_IDENTITIES[case]
