@@ -17,7 +17,7 @@ from .algebras import (CurvedAlgebra, CurvedModule, CurvedMorphism,
                        invert_morphism, opposite, product, regular_bimodule,
                        regular_module, tensor_algebras, validate)
 from .twisting import (MCResult, is_mc, mc_residual, twist_algebra,
-                       twist_module, untwist_algebra, untwist_module)
+                       twist_module, untwist_module)
 from .bar import (FakeAugmentation, TruncatedTensorAlgebra,
                   augmentation_defects, bar_resolution_module, canonical_mc,
                   fake_augmentation, hochschild_cochains, hochschild_direct,

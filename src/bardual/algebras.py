@@ -7,6 +7,13 @@ missing key means the product / image is zero.  The unit is kept as a
 sparse vector because natural constructions (products of algebras,
 endomorphism algebras) have units that are sums of basis vectors.
 
+`CurvedAlgebra` and `CurvedModule` share one base, `_DiffSpace`: the
+space with its flat basis and index, the degree of each basis index,
+the differential table `diff`, `d`, `diff_map` and `as_complex`.  Every
+table is applied by the kernels of `sparse` (`vapply`, `vleft`,
+`vright`, `vbilinear`); a product with a basis element passes the
+element's index.
+
 Every defining identity is machine-checked by `validate`:
 
 * associativity and two-sided unit,
@@ -39,7 +46,8 @@ from math import lcm
 
 from .graded import Complex, GradedMap, GradedVectorSpace
 from .linalg import Matrix, inverse
-from .sparse import vadd, viadd, vneg
+from .sparse import (vadd, vapply, vbilinear, vec, viadd, vleft, vneg,
+                     vright)
 
 
 @dataclass
@@ -77,10 +85,6 @@ class ValidationError(ValueError):
     def __init__(self, msg, report=None):
         super().__init__(msg)
         self.report = report
-
-
-def _flat_basis(space: GradedVectorSpace):
-    return space.flat[0]
 
 
 def _int_tables(field, *tables):
@@ -225,7 +229,39 @@ def _leibniz_failures(action, adiff, xdiff, adeg, p):
     return bad
 
 
-class CurvedAlgebra:
+class _DiffSpace:
+    """What an algebra and a module share: a graded space with its flat
+    basis and index, the degree of each basis index, and a degree +1 map
+    `diff` (index -> sparse vector) whose square need not vanish."""
+
+    def __init__(self, field, space, diff):
+        self.field = field
+        self.space = space
+        self.basis, self.index = space.flat
+        self.degree = [bl[0] for bl in self.basis]
+        self.diff = diff
+        self.by_degree = {}
+        for i, d in enumerate(self.degree):
+            self.by_degree.setdefault(d, []).append(i)
+
+    @property
+    def dim(self):
+        return len(self.basis)
+
+    def basis_vec(self, i):
+        return {i: self.field.one}
+
+    def d(self, x: dict) -> dict:
+        return vapply(self.diff, x)
+
+    def diff_map(self) -> GradedMap:
+        return _table_to_map(self.field, self.space, self.diff, 1)
+
+    def as_complex(self) -> Complex:
+        return Complex(self.field, self.space, self.diff_map())
+
+
+class CurvedAlgebra(_DiffSpace):
     """Graded algebra with degree +1 derivation d and curvature h.
 
     d^2 = [h, -] and d(h) = 0; h = {} means an honest dg algebra.
@@ -233,49 +269,18 @@ class CurvedAlgebra:
 
     def __init__(self, field, space, unit, mult, diff, curvature=None,
                  check=True):
-        self.field = field
-        self.space = space
-        self.basis, self.index = space.flat
-        self.degree = [bl[0] for bl in self.basis]
+        super().__init__(field, space, diff)
         self.unit = dict(unit)
         self.mult = mult
-        self.diff = diff
         self.curvature = dict(curvature or {})
-        self.by_degree = {}
-        for i, d in enumerate(self.degree):
-            self.by_degree.setdefault(d, []).append(i)
         if check:
             self.validate().raise_if_failed("algebra")
-
-    # -- element helpers -------------------------------------------------
-    @property
-    def dim(self):
-        return len(self.basis)
 
     def idx(self, deg, label):
         return self.index[(deg, label)]
 
-    def basis_vec(self, i):
-        return {i: self.field.one}
-
     def mul(self, x: dict, y: dict) -> dict:
-        out = {}
-        mult = self.mult
-        for i, ci in x.items():
-            for j, cj in y.items():
-                p = mult.get((i, j))
-                if p:
-                    viadd(out, p, ci * cj)
-        return out
-
-    def d(self, x: dict) -> dict:
-        out = {}
-        diff = self.diff
-        for i, c in x.items():
-            col = diff.get(i)
-            if col:
-                viadd(out, col, c)
-        return out
+        return vbilinear(self.mult, x, y)
 
     def bracket(self, x: dict, y: dict) -> dict:
         """Graded commutator [x, y] = xy - (-1)^{|x||y|} yx (termwise)."""
@@ -295,12 +300,6 @@ class CurvedAlgebra:
 
     def is_uncurved(self):
         return not self.curvature
-
-    def diff_map(self) -> GradedMap:
-        return _table_to_map(self.field, self.space, self.diff, 1)
-
-    def as_complex(self) -> Complex:
-        return Complex(self.field, self.space, self.diff_map())
 
     # -- validation ------------------------------------------------------
     def validate(self, seed=None) -> Report:
@@ -330,23 +329,12 @@ class CurvedAlgebra:
             if deg[k] != 0:
                 rep.add("unit-degree", (k,))
 
-        mult = self.mult
-        diff = self.diff
+        mult, diff, unit = self.mult, self.diff, self.unit
         for i in range(n):
             want = {i: one}
-            out = {}
-            for u, cu in self.unit.items():
-                p = mult.get((u, i))
-                if p:
-                    viadd(out, p, cu)
-            if out != want:
+            if vleft(mult, unit, i) != want:
                 rep.add("left-unit", (i,))
-            out = {}
-            for u, cu in self.unit.items():
-                p = mult.get((i, u))
-                if p:
-                    viadd(out, p, cu)
-            if out != want:
+            if vright(mult, i, unit) != want:
                 rep.add("right-unit", (i,))
 
         rep.notes.append(f"associativity: all {n * n * n} triples")
@@ -357,18 +345,11 @@ class CurvedAlgebra:
             rep.add("leibniz", w)
         del imult, idiff
 
-        h = self.curvature
+        h, minus_h = self.curvature, vneg(self.curvature)
         for i in range(n):
-            lhs = self.d(diff.get(i, {}))
-            rhs = {}
-            for u, cu in h.items():
-                p = mult.get((u, i))
-                if p:
-                    viadd(rhs, p, cu)
-                q = mult.get((i, u))
-                if q:
-                    viadd(rhs, q, -cu)
-            if lhs != rhs:
+            # d^2 e_i = h e_i - e_i h
+            if (vapply(diff, diff.get(i, {}))
+                    != vadd(vleft(mult, h, i), vright(mult, i, minus_h))):
                 rep.add("d-squared", (i,))
         if self.d(h):
             rep.add("d-of-curvature", ())
@@ -386,6 +367,26 @@ def _block(field, table, cols, rows):
     return Matrix.from_columns(
         field, len(rows),
         [{pos[k]: v for k, v in table.get(i, {}).items()} for i in cols])
+
+
+def _inverse_table(table, S, T):
+    """The inverse, as a table from T to S, of the degree-0 map `table`
+    (S index -> sparse T vector), or None when it is not bijective."""
+    inv_table = {}
+    for d in set(S.by_degree) | set(T.by_degree):
+        rows = T.by_degree.get(d, [])
+        cols = S.by_degree.get(d, [])
+        if len(rows) != len(cols):
+            return None
+        if not rows:
+            continue
+        inv = inverse(_block(S.field, table, cols, rows))
+        if inv is None:
+            return None
+        for k, col in zip(rows, inv.columns()):
+            if col:
+                inv_table[k] = {cols[r]: v for r, v in col.items()}
+    return inv_table
 
 
 def _table_to_map(field, space, table, degree):
@@ -414,52 +415,18 @@ def _table_to_map(field, space, table, degree):
 # modules
 
 
-class CurvedModule:
+class CurvedModule(_DiffSpace):
     """Left module over a CurvedAlgebra with d_M^2(x) = h x."""
 
     def __init__(self, algebra, space, action, diff, check=True):
+        super().__init__(algebra.field, space, diff)
         self.algebra = algebra
-        self.field = algebra.field
-        self.space = space
-        self.basis, self.index = space.flat
-        self.degree = [bl[0] for bl in self.basis]
         self.action = action
-        self.diff = diff
-        self.by_degree = {}
-        for i, d in enumerate(self.degree):
-            self.by_degree.setdefault(d, []).append(i)
         if check:
             self.validate().raise_if_failed("module")
 
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    def basis_vec(self, i):
-        return {i: self.field.one}
-
     def act(self, a: dict, x: dict) -> dict:
-        out = {}
-        for i, ci in a.items():
-            for j, cj in x.items():
-                p = self.action.get((i, j))
-                if p:
-                    viadd(out, p, ci * cj)
-        return out
-
-    def d(self, x: dict) -> dict:
-        out = {}
-        for i, c in x.items():
-            col = self.diff.get(i)
-            if col:
-                viadd(out, col, c)
-        return out
-
-    def diff_map(self) -> GradedMap:
-        return _table_to_map(self.field, self.space, self.diff, 1)
-
-    def as_complex(self) -> Complex:
-        return Complex(self.field, self.space, self.diff_map())
+        return vbilinear(self.action, a, x)
 
     def validate(self, seed=None) -> Report:
         """Exhaustive check of every identity.
@@ -484,12 +451,7 @@ class CurvedModule:
 
         action = self.action
         for j in range(self.dim):
-            out = {}
-            for u, cu in A.unit.items():
-                p = action.get((u, j))
-                if p:
-                    viadd(out, p, cu)
-            if out != {j: one}:
+            if vleft(action, A.unit, j) != {j: one}:
                 rep.add("unital-action", (j,))
 
         triples = A.dim * A.dim * self.dim
@@ -502,14 +464,10 @@ class CurvedModule:
             rep.add("module-leibniz", w)
         del imult, iaction, iadiff, ixdiff
 
+        diff = self.diff
         for j in range(self.dim):
-            lhs = self.d(self.diff.get(j, {}))
-            rhs = {}
-            for u, cu in A.curvature.items():
-                p = action.get((u, j))
-                if p:
-                    viadd(rhs, p, cu)
-            if lhs != rhs:
+            # d_M^2 x_j = h x_j
+            if vapply(diff, diff.get(j, {})) != vleft(action, A.curvature, j):
                 rep.add("module-d-squared", (j,))
         return rep
 
@@ -529,12 +487,7 @@ class ModuleMap:
             self.validate().raise_if_failed("module map")
 
     def apply(self, x: dict) -> dict:
-        out = {}
-        for i, c in x.items():
-            col = self.blocks.get(i)
-            if col:
-                viadd(out, col, c)
-        return out
+        return vapply(self.blocks, x)
 
     def validate(self) -> Report:
         rep = Report()
@@ -543,33 +496,20 @@ class ModuleMap:
             for k in col:
                 if T.degree[k] != S.degree[i]:
                     rep.add("map-degree", (i, k))
+        images = [self.blocks.get(i, {}) for i in range(S.dim)]
         for i in range(S.dim):
-            if self.apply(S.diff.get(i, {})) != T.d(self.apply(S.basis_vec(i))):
+            if self.apply(S.diff.get(i, {})) != T.d(images[i]):
                 rep.add("chain-map", (i,))
-        A = S.algebra
-        for a in range(A.dim):
-            av = A.basis_vec(a)
+        for a in range(S.algebra.dim):
             for i in range(S.dim):
                 lhs = self.apply(S.action.get((a, i), {}))
-                rhs = T.act(av, self.apply(S.basis_vec(i)))
-                if lhs != rhs:
+                if lhs != vright(T.action, a, images[i]):
                     rep.add("action-compat", (a, i))
         return rep
 
     def is_iso(self) -> bool:
         S, T = self.source, self.target
-        if S.dim != T.dim:
-            return False
-        for d in set(S.by_degree) | set(T.by_degree):
-            rows = T.by_degree.get(d, [])
-            cols = S.by_degree.get(d, [])
-            if len(rows) != len(cols):
-                return False
-            if not rows:
-                continue
-            if inverse(_block(S.field, self.blocks, cols, rows)) is None:
-                return False
-        return True
+        return _inverse_table(self.blocks, S, T) is not None
 
     def __repr__(self):
         return f"ModuleMap({self.source.dim} -> {self.target.dim})"
@@ -597,12 +537,7 @@ class CurvedMorphism:
             self.validate().raise_if_failed("curved morphism")
 
     def apply(self, x: dict) -> dict:
-        out = {}
-        for i, c in x.items():
-            col = self.f.get(i)
-            if col:
-                viadd(out, col, c)
-        return out
+        return vapply(self.f, x)
 
     def validate(self) -> Report:
         rep = Report()
@@ -616,7 +551,7 @@ class CurvedMorphism:
                 rep.add("twist-element-degree", (k,))
         if self.apply(S.unit) != T.unit:
             rep.add("unital", ())
-        images = [self.apply(S.basis_vec(i)) for i in range(S.dim)]
+        images = [self.f.get(i, {}) for i in range(S.dim)]
         for i in range(S.dim):
             for j in range(S.dim):
                 lhs = self.apply(S.mult.get((i, j), {}))
@@ -624,7 +559,7 @@ class CurvedMorphism:
                     rep.add("multiplicative", (i, j))
         for i in range(S.dim):
             lhs = self.apply(S.diff.get(i, {}))
-            fx = self.apply(S.basis_vec(i))
+            fx = images[i]
             rhs = vadd(T.d(fx), T.bracket(self.a, fx))
             if lhs != rhs:
                 rep.add("curved-chain-rule", (i,))
@@ -668,20 +603,9 @@ def compose_curved(p: CurvedMorphism, q: CurvedMorphism,
 def invert_morphism(m: CurvedMorphism, check=True) -> CurvedMorphism:
     """(f, a)^{-1} = (f^{-1}, -f^{-1}(a)); fails if f is not bijective."""
     S, T = m.source, m.target
-    finv = {}
-    for d in set(S.by_degree) | set(T.by_degree):
-        rows = T.by_degree.get(d, [])
-        cols = S.by_degree.get(d, [])
-        if len(rows) != len(cols):
-            raise ValueError("not a linear isomorphism")
-        if not rows:
-            continue
-        inv = inverse(_block(S.field, m.f, cols, rows))
-        if inv is None:
-            raise ValueError("not a linear isomorphism")
-        for k, col in zip(rows, inv.columns()):
-            if col:
-                finv[k] = {cols[r]: v for r, v in col.items()}
+    finv = _inverse_table(m.f, S, T)
+    if finv is None:
+        raise ValueError("not a linear isomorphism")
     out = CurvedMorphism(T, S, finv, {}, check=False)
     out.a = vneg(out.apply(m.a))
     if check:
@@ -695,9 +619,9 @@ def pullback_module(M: CurvedModule, f: CurvedMorphism,
     A = f.source
     action = {}
     for i in range(A.dim):
-        img = f.apply(A.basis_vec(i))
+        img = f.f.get(i, {})
         for j in range(M.dim):
-            out = M.act(img, M.basis_vec(j))
+            out = vleft(M.action, img, j)
             if out:
                 action[(i, j)] = out
     return CurvedModule(A, M.space, action,
@@ -724,23 +648,18 @@ def algebra_from_tables(field, components, unit_label, mult_table, diff_table,
     or a list of (c, lbl) terms, in which case the table must be complete.
     """
     space = GradedVectorSpace(components)
-    basis = _flat_basis(space)
+    basis, index = space.flat
     where = {}
     for n, lbl in basis:
         if lbl in where:
             raise ValueError(f"label {lbl!r} reused across degrees")
         where[lbl] = n
-    index = {bl: i for i, bl in enumerate(basis)}
 
     def to_idx(lbl):
         return index[(where[lbl], lbl)]
 
     def to_vec(terms):
-        col = {}
-        for c, lbl in terms:
-            if c:
-                viadd(col, {to_idx(lbl): c})
-        return col
+        return vec(*((to_idx(lbl), c) for c, lbl in terms))
 
     mult = {}
     for (a, b), terms in mult_table.items():
@@ -790,7 +709,7 @@ def product(A: CurvedAlgebra, C: CurvedAlgebra, check=True):
         if labels:
             comp[n] = labels
     space = GradedVectorSpace(comp)
-    index = {bl: i for i, bl in enumerate(_flat_basis(space))}
+    index = space.flat[1]
 
     def li(i):
         n, lbl = A.basis[i]
@@ -880,7 +799,7 @@ def tensor_algebras(A: CurvedAlgebra, B: CurvedAlgebra,
         for j in range(B.dim):
             comp.setdefault(A.degree[i] + B.degree[j], []).append((i, j))
     space = GradedVectorSpace(comp)
-    index = {bl: k for k, bl in enumerate(_flat_basis(space))}
+    index = space.flat[1]
 
     def pair(i, j):
         return index[(A.degree[i] + B.degree[j], (i, j))]
@@ -908,10 +827,7 @@ def tensor_algebras(A: CurvedAlgebra, B: CurvedAlgebra,
                     q = B.mult.get((j, l))
                     if not q:
                         continue
-                    col = {}
-                    for pi, pc in p.items():
-                        for qi, qc in q.items():
-                            viadd(col, {pair(pi, qi): sgn * pc * qc})
+                    col = embed(p, q if sgn == one else vneg(q))
                     if col:
                         mult[(src1, pair(k, l))] = col
     diff = {}
@@ -949,8 +865,7 @@ def regular_bimodule(A: CurvedAlgebra, env: TensorAlgebra | None = None,
         dj = A.degree[j]
         for k in range(A.dim):
             sgn = -one if (dj * A.degree[k]) % 2 else one
-            out = A.mul(A.mul(A.basis_vec(i), A.basis_vec(k)),
-                        A.basis_vec(j))
+            out = vleft(A.mult, A.mult.get((i, k), {}), j)
             if out:
                 action[(e, k)] = vneg(out) if sgn == -one else out
     diff = {i: dict(v) for i, v in A.diff.items()}
@@ -975,8 +890,7 @@ def dual_regular_module(A: CurvedAlgebra, check=True) -> CurvedModule:
     """
     from .graded import dual as dual_space
     space = dual_space(A.space)
-    basis = _flat_basis(space)
-    index = {bl: i for i, bl in enumerate(basis)}
+    index = space.flat[1]
 
     def star(i):
         n, lbl = A.basis[i]
@@ -1018,14 +932,14 @@ def free_module(A: CurvedAlgebra, V: GradedVectorSpace,
     An honest module only when A is uncurved (free modules over a curved
     algebra would need a connection); the validator enforces this.
     """
-    basis_v = _flat_basis(V)
+    basis_v = V.flat[0]
     comp = {}
     for i in range(A.dim):
         for (vd, vl) in basis_v:
             comp.setdefault(A.degree[i] + vd, []).append(
                 (A.basis[i], (vd, vl)))
     space = GradedVectorSpace(comp)
-    index = {bl: k for k, bl in enumerate(_flat_basis(space))}
+    index = space.flat[1]
 
     def pidx(i, j):
         return index[(A.degree[i] + basis_v[j][0],
@@ -1044,7 +958,6 @@ def free_module(A: CurvedAlgebra, V: GradedVectorSpace,
     # dV as columns over flat V indices
     dv_cols = {}
     if dV is not None and not dV.is_zero():
-        vpos = {}
         per_degree = {}
         for j, (vd, vl) in enumerate(basis_v):
             per_degree.setdefault(vd, []).append(j)
@@ -1088,8 +1001,7 @@ def endomorphism_algebra(space: GradedVectorSpace, dmap: GradedMap | None,
                 ((p, a), (q, b))
                 for a in space.labels(p) for b in space.labels(q))
     espace = GradedVectorSpace(comp)
-    basis = _flat_basis(espace)
-    index = {bl: i for i, bl in enumerate(basis)}
+    basis, index = espace.flat
 
     def unit_idx(p, a, q, b):
         return index[(q - p, ((p, a), (q, b)))]

@@ -83,7 +83,6 @@ def builtin_algebra(name: str, field=QQ) -> CurvedAlgebra:
 def _one_dim_module(A: CurvedAlgebra, weights: dict) -> CurvedModule:
     """k with a acting by the scalar weights.get(label, 0)."""
     space = GradedVectorSpace({0: ["m"]})
-    one = A.field.one
     action = {}
     for i, (deg, lbl) in enumerate(A.basis):
         c = weights.get(lbl)

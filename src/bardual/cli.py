@@ -41,6 +41,7 @@ from .morita import (OrdinaryAlgebra, OrdinaryModule, RefusedInput,
                      gamma, injective_cogenerator, morita_unit, radical,
                      regular_ordinary, simple_modules)
 from .sampling import random_ordinary_module
+from .sparse import vec
 
 
 class InputError(ValueError):
@@ -216,33 +217,27 @@ def parse_algebra_file(path):
         for lbl, deg in mbasis.items():
             mcomp.setdefault(deg, []).append(lbl)
         space = GradedVectorSpace(mcomp)
-        mindex = {}
-        for i, (deg, lbl) in enumerate(
-                [(n, l) for n in sorted(mcomp) for l in mcomp[n]]):
-            mindex[lbl] = i
+        index = space.flat[1]
+
+        def pos(lbl):
+            return index[(mbasis[lbl], lbl)]
+
+        def column(terms):
+            return vec(*((pos(lbl), c) for c, lbl in terms))
         action = {}
         for (albl, mlbl, terms) in acts:
-            ai = A.index[(degrees[albl], albl)]
-            col = {}
-            for c, tl in terms:
-                if c:
-                    col[mindex[tl]] = col.get(mindex[tl], field.zero) + c
-            col = {k: v for k, v in col.items() if v}
+            col = column(terms)
             if col:
-                action[(ai, mindex[mlbl])] = col
+                action[(A.index[(degrees[albl], albl)], pos(mlbl))] = col
         # implicit unit action
         for u, cu in A.unit.items():
-            for j in range(len(mindex)):
+            for j in range(space.total_dim):
                 action.setdefault((u, j), {j: cu})
         diff = {}
         for (mlbl, terms) in mdiffs:
-            col = {}
-            for c, tl in terms:
-                if c:
-                    col[mindex[tl]] = col.get(mindex[tl], field.zero) + c
-            col = {k: v for k, v in col.items() if v}
+            col = column(terms)
             if col:
-                diff[mindex[mlbl]] = col
+                diff[pos(mlbl)] = col
         out_modules[name] = CurvedModule(A, space, action, diff)
     return A, out_modules
 

@@ -25,13 +25,12 @@ from __future__ import annotations
 
 from .algebras import (CurvedModule, ModuleMap, TensorAlgebra,
                        endomorphism_algebra, invert_morphism,
-                       module_action_map, pullback_module, tensor_algebras,
-                       _flat_basis)
+                       module_action_map, pullback_module, tensor_algebras)
 from .bar import (TruncatedTensorAlgebra, WordBasis, _generator_diff_table,
                   _sxi_sign, canonical_mc, hochschild_via_twist)
 from .graded import GradedVectorSpace
 from .linalg import ColumnEchelon, Matrix, eliminate
-from .sparse import viadd, vneg
+from .sparse import viadd, vleft, vneg, vright
 from .twisting import twist_algebra, twist_module
 
 
@@ -101,7 +100,7 @@ class HomOverEnd:
             K, M = self.module, self.M
             for j in range(K.dim):
                 # phi(T x_j) - (-1)^{n|T|} T(phi(x_j)) = 0 in M
-                img = K.act(embed, K.basis_vec(j))
+                img = vleft(K.action, embed, j)
                 per_target = {}
                 for k, c in img.items():
                     for b0 in range(M.dim):
@@ -125,7 +124,7 @@ class HomOverEnd:
                 for l in range(L.dim):
                     if (a, l) not in spos:
                         continue
-                    img = L.act(embed, L.basis_vec(l))
+                    img = vleft(L.action, embed, l)
                     for l2, c in img.items():
                         viadd(per_target.setdefault(l2, {}),
                               {spos[(a, l)]: -sgn * c})
@@ -139,6 +138,31 @@ class HomOverEnd:
 
     def dims(self):
         return {n: len(bs) for n, bs in self.basis.items()}
+
+    def induced(self, shift, image):
+        """The map of solved Hom spaces that sends the slot s of a degree-n
+        map to `image(n, s)`, a list [(slot, coeff)] of degree n + shift.
+
+        Returns {n: [coordinates, in the degree n + shift basis, of the
+        image of each degree-n basis map]}.  Image slots outside the
+        solved slots of degree n + shift are dropped.
+        """
+        out = {}
+        for n, basis in self.basis.items():
+            slots = self.slots[n]
+            m = n + shift
+            tpos = {s: i for i, s in enumerate(self.slots.get(m, ()))}
+            cols = []
+            for vec in basis:
+                acc = {}
+                for pos, c in vec.items():
+                    for s, cc in image(n, slots[pos]):
+                        t = tpos.get(s)
+                        if t is not None:
+                            viadd(acc, {t: c * cc})
+                cols.append(self.coords(m, acc))
+            out[n] = cols
+        return out
 
     def coords(self, n, vec):
         """Sparse coordinates in the solved basis of a sparse slot vector,
@@ -321,44 +345,32 @@ def right_action_report(FN, HA, raction):
     failures = []
     one = FN.field.one
 
+    # x.h is raction[(h, x)]: vleft over the HA side, vright over the F side
     def ract(f_idx, h_idx):
         return raction.get((h_idx, f_idx), {})
 
-    def ract_vec(xv, h_idx):
-        out = {}
-        for i, c in xv.items():
-            viadd(out, raction.get((h_idx, i), {}), c)
-        return out
-
-    E = FN.algebra
     for h1 in range(HA.dim):
         for h2 in range(HA.dim):
             prod = HA.mult.get((h1, h2), {})
             for x in range(FN.dim):
-                lhs = {}
-                for hk, c in prod.items():
-                    viadd(lhs, ract(x, hk), c)
-                rhs = ract_vec(ract(x, h1), h2)
+                lhs = vleft(raction, prod, x)
+                rhs = vright(raction, h2, ract(x, h1))
                 if lhs != rhs:
                     failures.append(("right-associativity", (h1, h2, x)))
     for h in range(HA.dim):
-        hdeg = HA.degree[h]
+        dh = HA.diff.get(h, {})
         for x in range(FN.dim):
             lhs = FN.d(ract(x, h))
-            rhs = ract_vec(FN.diff.get(x, {}), h)
+            rhs = vright(raction, h, FN.diff.get(x, {}))
             sgn = -one if FN.degree[x] % 2 else one
-            dh = HA.diff.get(h, {})
-            rhs2 = {}
-            for hk, c in dh.items():
-                viadd(rhs2, ract(x, hk), c)
-            viadd(rhs, rhs2, sgn)
+            viadd(rhs, vleft(raction, dh, x), sgn)
             if lhs != rhs:
                 failures.append(("right-leibniz", (h, x)))
-    for e in range(E.dim):
+    for e in range(FN.algebra.dim):
         for h in range(HA.dim):
             for x in range(FN.dim):
-                lhs = ract_vec(FN.action.get((e, x), {}), h)
-                rhs = FN.act(E.basis_vec(e), ract(x, h))
+                lhs = vright(raction, h, FN.action.get((e, x), {}))
+                rhs = vright(FN.action, e, ract(x, h))
                 if lhs != rhs:
                     failures.append(("left-right-commute", (e, h, x)))
     return failures
@@ -381,31 +393,21 @@ def _eta_sign(field, q: int):
 def beta_table(H: HomOverEnd, K: CurvedModule, elems):
     """Left action b . phi = (-1)^{|b|(|phi|+1)} phi o (b . -) on a solved
     Hom space, for each (degree, element) in elems; coordinates in H."""
-    field = H.field
-    one = field.one
+    one = H.field.one
     out = []
     for bdeg, bvec in elems:
-        imgs = [K.act(bvec, K.basis_vec(k2)) for k2 in range(K.dim)]
-        table = {}
-        for n, basis in H.basis.items():
-            slots = H.slots[n]
-            m = n + bdeg
-            tslots = H.slots.get(m, [])
-            tpos = {s: i for i, s in enumerate(tslots)}
+        # phi o l_b at x_k2 is phi(b . x_k2): hits[k] = [(k2, c)] for the
+        # terms c x_k of b . x_k2
+        hits = {}
+        for k2 in range(K.dim):
+            for k, c in vleft(K.action, bvec, k2).items():
+                hits.setdefault(k, []).append((k2, c))
+
+        def image(n, slot):
+            k, b = slot
             sgn = -one if (bdeg * (n + 1)) % 2 else one
-            cols = []
-            for vec in basis:
-                acc = {}
-                for pos, c in vec.items():
-                    k, b = slots[pos]
-                    # phi o l_b at x_k2: phi(b . x_k2)
-                    for k2 in range(K.dim):
-                        img = imgs[k2]
-                        if k in img and (k2, b) in tpos:
-                            viadd(acc, {tpos[(k2, b)]: sgn * c * img[k]})
-                cols.append(H.coords(m, acc))
-            table[n] = cols
-        out.append(table)
+            return [((k2, b), sgn * c) for k2, c in hits.get(k, ())]
+        out.append(H.induced(bdeg, image))
     return out
 
 
@@ -442,27 +444,19 @@ def functor_G(L: CurvedModule, M: CurvedModule, check=True) -> CurvedModule:
         gen_elems.append((gd, vec))
     betas = beta_table(H, K, gen_elems)
 
-    dH = {}
-    for n, basis in H.basis.items():
-        slots = H.slots[n]
-        m = n + 1
-        tslots = H.slots.get(m, [])
-        tpos = {s: i for i, s in enumerate(tslots)}
-        sgn = -one if n % 2 else one
-        cols = []
-        for vec in basis:
-            acc = {}
-            for pos, c in vec.items():
-                k, b = slots[pos]
-                for b2, cc in Mb.diff.get(b, {}).items():
-                    if (k, b2) in tpos:
-                        viadd(acc, {tpos[(k, b2)]: c * cc})
-                for k2 in range(K.dim):
-                    dk = K.diff.get(k2)
-                    if dk and k in dk and (k2, b) in tpos:
-                        viadd(acc, {tpos[(k2, b)]: -sgn * c * dk[k]})
-            cols.append(H.coords(m, acc))
-        dH[n] = cols
+    # d_H phi = d_M o phi - (-1)^{|phi|} phi o d_K; hits[k] = [(k2, c)]
+    # for the terms c x_k of d x_k2
+    hits = {}
+    for k2 in range(K.dim):
+        for k, c in K.diff.get(k2, {}).items():
+            hits.setdefault(k, []).append((k2, c))
+
+    def d_image(n, slot):
+        k, b = slot
+        sgn = one if n % 2 else -one
+        return ([((k, b2), c) for b2, c in Mb.diff.get(b, {}).items()]
+                + [((k2, b), sgn * c) for k2, c in hits.get(k, ())])
+    dH = H.induced(1, d_image)
 
     # assemble A (x) H over the re-based algebra, then pull back
     comp = {}
@@ -471,7 +465,7 @@ def functor_G(L: CurvedModule, M: CurvedModule, check=True) -> CurvedModule:
             for hi in range(cnt):
                 comp.setdefault(R.degree[i] + n, []).append((i, (n, hi)))
     space = GradedVectorSpace(comp)
-    index = {bl: i for i, bl in enumerate(_flat_basis(space))}
+    index = space.flat[1]
 
     def gidx(i, n, hi):
         return index[(R.degree[i] + n, (i, (n, hi)))]
@@ -541,15 +535,14 @@ def morita_prime_F(N: CurvedModule, Mspace: GradedVectorSpace,
         Ep = tensor_algebras(B, endm, check=check)
     endm = Ep.right
     end_labels = [lbl for (_, lbl) in endm.basis]
-    mindex = {bl: i for i, bl in enumerate(_flat_basis(Mspace))}
-    mbasis = _flat_basis(Mspace)
+    mbasis, mindex = Mspace.flat
 
     comp = {}
     for j in range(N.dim):
         for a, (mdeg, mlbl) in enumerate(mbasis):
             comp.setdefault(N.degree[j] + mdeg, []).append((j, a))
     space = GradedVectorSpace(comp)
-    index = {bl: i for i, bl in enumerate(_flat_basis(space))}
+    index = space.flat[1]
 
     def pidx(j, a):
         return index[(N.degree[j] + mbasis[a][0], (j, a))]
@@ -592,61 +585,34 @@ def morita_prime_G(L: CurvedModule, Mspace: GradedVectorSpace,
     if not isinstance(Ep, TensorAlgebra):
         raise ValueError("L must be a module over B (x) End(M)")
     B, endm = Ep.left, Ep.right
-    field = B.field
-    one = field.one
-    Mmod = _tautological_module(Mspace, field)
+    Mmod = _tautological_module(Mspace, B.field)
     H = HomOverEnd(L, Mmod, end_embed_tensor(Ep),
                    [lbl for (_, lbl) in endm.basis], "to")
     hspace = H.space()
-
-    index = {}
-    for n, labels in hspace.components.items():
-        for i, lbl in enumerate(labels):
-            index[lbl] = (n, i)
-    flat = _flat_basis(hspace)
-    fpos = {bl: i for i, bl in enumerate(flat)}
+    fpos = hspace.flat[1]
 
     def hidx(n, i):
         return fpos[(n, ("h", n, i))]
 
+    def columns(shift, images):
+        """(flat index, column) of each nonzero induced map, for the map
+        of L that sends x_l to images[l], applied to phi(m_a)."""
+        induced = H.induced(shift, lambda n, slot: [
+            ((slot[0], l2), c) for l2, c in images[slot[1]].items()])
+        for n, cols in induced.items():
+            for i, x in enumerate(cols):
+                if x:
+                    yield hidx(n, i), {hidx(n + shift, hj): c
+                                       for hj, c in x.items()}
+
     # B-action: (b.phi)(m) = (b (x) 1) . phi(m)
     action = {}
     for bi in range(B.dim):
-        bdeg = B.degree[bi]
         bvec = Ep.embed(B.basis_vec(bi), endm.unit)
-        for n, basis in H.basis.items():
-            slots = H.slots[n]
-            m = n + bdeg
-            tslots = H.slots.get(m, [])
-            tpos = {s: i for i, s in enumerate(tslots)}
-            for i, vec in enumerate(basis):
-                acc = {}
-                for pos, c in vec.items():
-                    a, l = slots[pos]
-                    img = L.act(bvec, L.basis_vec(l))
-                    for l2, cc in img.items():
-                        if (a, l2) in tpos:
-                            viadd(acc, {tpos[(a, l2)]: c * cc})
-                col = {hidx(m, hj): c for hj, c in H.coords(m, acc).items()}
-                if col:
-                    action[(bi, hidx(n, i))] = col
-
-    diff = {}
-    for n, basis in H.basis.items():
-        slots = H.slots[n]
-        m = n + 1
-        tslots = H.slots.get(m, [])
-        tpos = {s: i for i, s in enumerate(tslots)}
-        for i, vec in enumerate(basis):
-            acc = {}
-            for pos, c in vec.items():
-                a, l = slots[pos]
-                for l2, cc in L.diff.get(l, {}).items():
-                    if (a, l2) in tpos:
-                        viadd(acc, {tpos[(a, l2)]: c * cc})
-            col = {hidx(m, hj): c for hj, c in H.coords(m, acc).items()}
-            if col:
-                diff[hidx(n, i)] = col
+        images = [vleft(L.action, bvec, l) for l in range(L.dim)]
+        action.update(((bi, k), col)
+                      for k, col in columns(B.degree[bi], images))
+    diff = dict(columns(1, [L.diff.get(l, {}) for l in range(L.dim)]))
 
     GL = CurvedModule(B, hspace, action, diff, check=check)
     GL.hom = H
@@ -658,8 +624,7 @@ def _tautological_module(Mspace: GradedVectorSpace, field) -> CurvedModule:
     structure matters to HomOverEnd)."""
     from .bar import trivial_algebra
     triv = trivial_algebra(field)
-    basis = _flat_basis(Mspace)
-    action = {(0, j): {j: field.one} for j in range(len(basis))}
+    action = {(0, j): {j: field.one} for j in range(Mspace.total_dim)}
     return CurvedModule(triv, Mspace, action, {}, check=False)
 
 
@@ -669,8 +634,7 @@ def prime_unit_iso(N: CurvedModule, Mspace: GradedVectorSpace, Ep, FpN,
     one = N.field.one
     H = GpFpN.hom
     blocks = {}
-    flat = _flat_basis(GpFpN.space)
-    fpos = {bl: i for i, bl in enumerate(flat)}
+    fpos = GpFpN.space.flat[1]
     for j in range(N.dim):
         n = N.degree[j]
         vec = {pos: one for pos, (a, l) in enumerate(H.slots.get(n, []))

@@ -58,9 +58,6 @@ class GradedVectorSpace:
     def labels(self, n: int):
         return self.components.get(n, ())
 
-    def position(self, n: int, label) -> int:
-        return self.components[n].index(label)
-
     def __eq__(self, other):
         return (isinstance(other, GradedVectorSpace)
                 and self.components == other.components)

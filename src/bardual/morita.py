@@ -28,7 +28,7 @@ from .algebras import CurvedAlgebra, CurvedModule
 from .graded import GradedVectorSpace
 from .linalg import (ColumnEchelon, Matrix, eliminate, inverse,
                      quotient_representatives, solve_matrix)
-from .sparse import vadd, viadd, vneg, vscale
+from .sparse import vadd, viadd, vleft, vneg, vright, vscale
 
 
 class RefusedInput(ValueError):
@@ -71,7 +71,7 @@ class OrdinaryAlgebra:
     def left_mult_matrix(self, vec) -> Matrix:
         A = self.algebra
         return Matrix.from_columns(self.field, self.n,
-                                   [A.mul(vec, A.basis_vec(j))
+                                   [vleft(A.mult, vec, j)
                                     for j in range(self.n)])
 
     def __repr__(self):
@@ -247,8 +247,7 @@ def _poly_roots(field, coeffs):
     """All roots in the ground field of a polynomial with coefficients
     from constant term up.  Complete for Q (rational root theorem after
     clearing denominators) and for F_p (exhaustive)."""
-    deg = len(coeffs) - 1
-    zero, one = field.zero, field.one
+    zero = field.zero
     p = getattr(field, "characteristic", 0)
     roots = []
 
@@ -424,7 +423,7 @@ def block_simple_module(S: OrdinaryAlgebra, e, seed=777):
     mats = [S.left_mult_matrix(S.algebra.basis_vec(i)) for i in range(S.n)]
     # block subspace e.S.e? For a central idempotent, the block is e.S
     e_basis = quotient_representatives(
-        (), [S.mul(e, S.algebra.basis_vec(i)) for i in range(S.n)], field)
+        (), [vleft(S.algebra.mult, e, i) for i in range(S.n)], field)
     block_dim = len(e_basis)
 
     # eigenvalue-shift candidates: b - lambda.e with lambda a root of the
@@ -462,9 +461,8 @@ def count_simples(A: OrdinaryAlgebra, with_modules=False):
     over A, pulled back along the projection).
     """
     rad = radical(A)
-    S, project, lift = (quotient_algebra(A, rad) if rad
-                        else (A, lambda v: dict(v),
-                              lambda j: A.algebra.basis_vec(j)))
+    S, project, _ = (quotient_algebra(A, rad) if rad
+                     else (A, lambda v: dict(v), None))
     if radical(S):
         raise AssertionError("radical of the quotient is nonzero")
     blocks = central_idempotents(S)
@@ -654,7 +652,7 @@ def morita_unit(md: MoritaData, N: OrdinaryModule):
     (matrix, is_isomorphism)."""
     field = md.A.field
     FN, fbasis, _ = classical_F(md, N)
-    GFN, gbasis, gsolver = classical_G(md, FN)
+    GFN, _, gsolver = classical_G(md, FN)
     # ev_j: FN -> M, phi -> phi(x_j): matrix with columns phi_i(x_j)
     evs = [_flat(Matrix.from_columns(field, md.M.dim,
                                      [phi.columns()[j] for phi in fbasis]))
@@ -744,12 +742,11 @@ def free_resolution(A: OrdinaryAlgebra, M: OrdinaryModule, length: int):
         parts = [_blocks(v, n, t) for v in kb]
         imgs = []
         for i in range(n):
-            ei = A.algebra.basis_vec(i)
             for blocks in parts:
                 img = {}
                 for slot, xvec in enumerate(blocks):
-                    img.update((slot * n + k, c)
-                               for k, c in A.mul(ei, xvec).items())
+                    img.update((slot * n + k, c) for k, c in
+                               vright(A.algebra.mult, i, xvec).items())
                 imgs.append(img)
         xs = _coordinates(km, imgs, "kernel is not a submodule")
         q = len(kb)
@@ -774,7 +771,6 @@ def ext_oracle(A: OrdinaryAlgebra, M: OrdinaryModule, N: OrdinaryModule,
         return [h0] + [0] * n_max
     ranks, deltas = free_resolution(A, M, n_max + 1)
     # Hom(A^t, N) = N^t; induced maps from deltas
-    dims = []
     spaces = [ranks[i] * N.dim if i < len(ranks) else 0
               for i in range(n_max + 2)]
 

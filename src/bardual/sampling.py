@@ -22,8 +22,6 @@ from .twisting import twist_algebra, twist_module
 
 
 def _blocks(field):
-    one = field.one
-
     def k():
         return algebra_from_tables(field, {0: ["1"]}, "1", {}, {})
 
@@ -142,7 +140,6 @@ def random_acyclic_complex(field, seed: int, max_dim=3) -> Complex:
     rng = _random.Random(seed)
     V = random_space(rng, max_dim=max_dim)
     d = random_square_zero(field, V, rng)
-    C = Complex(field, V, d)
     # cone of id: degree n part is V_{n+1} (+) V_n,
     # d(x, y) = (-d x, x + d y)
     comp = {}
@@ -158,7 +155,6 @@ def random_acyclic_complex(field, seed: int, max_dim=3) -> Complex:
         cols = space.dim(n)
         if rows == 0 or cols == 0:
             continue
-        src_s = V.dim(n + 1)
         tgt_s = V.dim(n + 2)
         # the "s" columns: -d x, and x itself in the "c" block of degree n+1
         columns = [{**{r: -v for r, v in col.items()}, tgt_s + c: field.one}

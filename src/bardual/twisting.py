@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import CurvedAlgebra, CurvedModule
-from .sparse import vadd, vneg
+from .sparse import vadd, viadd, vleft, vneg, vright
 
 
 def _check_degree_one(A, xi):
@@ -27,9 +27,12 @@ def _check_degree_one(A, xi):
 def twist_algebra(A: CurvedAlgebra, xi: dict, check=True) -> CurvedAlgebra:
     """A^xi: same underlying algebra, d^xi = d + [xi,-], h^xi = h + dxi + xi^2."""
     _check_degree_one(A, xi)
+    mult, minus_xi = A.mult, vneg(xi)
     diff = {}
     for i in range(A.dim):
-        col = vadd(A.diff.get(i, {}), A.bracket(xi, A.basis_vec(i)))
+        # [xi, e_i] = xi e_i - (-1)^{|e_i|} e_i xi
+        col = vadd(A.diff.get(i, {}), vleft(mult, xi, i))
+        viadd(col, vright(mult, i, xi if A.degree[i] % 2 else minus_xi))
         if col:
             diff[i] = col
     curv = vadd(vadd(dict(A.curvature), A.d(xi)), A.mul(xi, xi))
@@ -50,7 +53,7 @@ def twist_module(N: CurvedModule, xi: dict, algebra=None,
     twisted = algebra if algebra is not None else twist_algebra(A, xi, check)
     diff = {}
     for j in range(N.dim):
-        col = vadd(N.diff.get(j, {}), N.act(xi, N.basis_vec(j)))
+        col = vadd(N.diff.get(j, {}), vleft(N.action, xi, j))
         if col:
             diff[j] = col
     return CurvedModule(twisted, N.space, N.action, diff, check=check)
@@ -74,10 +77,6 @@ class MCResult:
 def is_mc(A: CurvedAlgebra, xi: dict) -> MCResult:
     res = mc_residual(A, xi)
     return MCResult(not res, res)
-
-
-def untwist_algebra(A: CurvedAlgebra, xi: dict, check=True) -> CurvedAlgebra:
-    return twist_algebra(A, vneg(xi), check=check)
 
 
 def untwist_module(N: CurvedModule, xi: dict, algebra=None,
