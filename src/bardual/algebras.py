@@ -775,13 +775,9 @@ class TensorAlgebra(CurvedAlgebra):
         self.pair_index = {lbl: k for k, lbl in enumerate(self.factors_of)}
 
     def embed(self, va: dict, vb: dict) -> dict:
-        out = {}
-        for i, ci in va.items():
-            for j, cj in vb.items():
-                c = ci * cj
-                if c:
-                    viadd(out, {self.pair_index[(i, j)]: c})
-        return out
+        pair = self.pair_index
+        return vec(*((pair[(i, j)], ci * cj)
+                     for i, ci in va.items() for j, cj in vb.items()))
 
 
 def tensor_algebras(A: CurvedAlgebra, B: CurvedAlgebra,
@@ -805,13 +801,8 @@ def tensor_algebras(A: CurvedAlgebra, B: CurvedAlgebra,
         return index[(A.degree[i] + B.degree[j], (i, j))]
 
     def embed(va, vb):
-        out = {}
-        for i, ci in va.items():
-            for j, cj in vb.items():
-                c = ci * cj
-                if c:
-                    viadd(out, {pair(i, j): c})
-        return out
+        return vec(*((pair(i, j), ci * cj)
+                     for i, ci in va.items() for j, cj in vb.items()))
 
     mult = {}
     for i in range(A.dim):

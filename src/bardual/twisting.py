@@ -30,15 +30,15 @@ def twist_algebra(A: CurvedAlgebra, xi: dict, check=True) -> CurvedAlgebra:
     mult, minus_xi = A.mult, vneg(xi)
     diff = {}
     for i in range(A.dim):
-        # [xi, e_i] = xi e_i - (-1)^{|e_i|} e_i xi
-        col = vadd(A.diff.get(i, {}), vleft(mult, xi, i))
-        viadd(col, vright(mult, i, xi if A.degree[i] % 2 else minus_xi))
+        # [xi, e_i] = xi e_i - (-1)^{|e_i|} e_i xi, summed apart from d e_i
+        # so that the terms which cancel leave no slots in the new column
+        br = vleft(mult, xi, i)
+        viadd(br, vright(mult, i, xi if A.degree[i] % 2 else minus_xi))
+        col = vadd(A.diff.get(i, {}), br)
         if col:
             diff[i] = col
-    curv = vadd(vadd(dict(A.curvature), A.d(xi)), A.mul(xi, xi))
-    out = CurvedAlgebra(A.field, A.space, A.unit, A.mult, diff, curv,
-                        check=check)
-    return out
+    return CurvedAlgebra(A.field, A.space, A.unit, A.mult, diff,
+                         mc_residual(A, xi), check=check)
 
 
 def twist_module(N: CurvedModule, xi: dict, algebra=None,
