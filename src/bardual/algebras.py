@@ -920,21 +920,21 @@ def free_module(A: CurvedAlgebra, V: GradedVectorSpace,
     """A (x) V with action a.(b (x) v) = ab (x) v and differential
     d(b (x) v) = db (x) v + (-1)^{|b|} b (x) dV(v).
 
-    An honest module only when A is uncurved (free modules over a curved
-    algebra would need a connection); the validator enforces this.
+    Basis labels are pairs (i, (degree, label)) of an index of A and a
+    flat basis element of V, in the flat order of A, then of V.  An honest
+    module only when A is uncurved (free modules over a curved algebra
+    would need a connection); the validator enforces this.
     """
     basis_v = V.flat[0]
     comp = {}
     for i in range(A.dim):
-        for (vd, vl) in basis_v:
-            comp.setdefault(A.degree[i] + vd, []).append(
-                (A.basis[i], (vd, vl)))
+        for v in basis_v:
+            comp.setdefault(A.degree[i] + v[0], []).append((i, v))
     space = GradedVectorSpace(comp)
     index = space.flat[1]
 
     def pidx(i, j):
-        return index[(A.degree[i] + basis_v[j][0],
-                      (A.basis[i], basis_v[j]))]
+        return index[(A.degree[i] + basis_v[j][0], (i, basis_v[j]))]
 
     one = A.field.one
     action = {}

@@ -100,6 +100,17 @@ def parse_algebra_file(path):
     def err(line_no, col, msg):
         raise ParseError(path, line_no, col, msg)
 
+    def degree(line_no, line, deg_s):
+        try:
+            return int(deg_s)
+        except ValueError:
+            err(line_no, len(line) - len(deg_s), "degree must be integer")
+
+    def split_eq(line_no, line, col, expected):
+        if "=" not in line:
+            err(line_no, col, f"expected '{expected}'")
+        return line.split("=", 1)
+
     def known(line_no, labels, table=None):
         table = degrees if table is None else table
         for lbl in labels:
@@ -128,11 +139,7 @@ def parse_algebra_file(path):
         elif head == "basis":
             if len(toks) != 3:
                 err(line_no, 6, "expected 'basis <label> <degree>'")
-            lbl, deg_s = toks[1], toks[2]
-            try:
-                deg = int(deg_s)
-            except ValueError:
-                err(line_no, len(line) - len(deg_s), "degree must be integer")
+            lbl, deg = toks[1], degree(line_no, line, toks[2])
             if lbl in degrees:
                 err(line_no, 6, f"label {lbl!r} declared twice")
             degrees[lbl] = deg
@@ -164,7 +171,7 @@ def parse_algebra_file(path):
             known(line_no, parts[1:] + [l for _, l in terms])
             diff_table[parts[1]] = terms
         elif head == "curvature":
-            _, rhs = line.split("=", 1)
+            _, rhs = split_eq(line_no, line, 10, "curvature = ...")
             curvature = _parse_terms(field, rhs, path, line_no,
                                      len("curvature = "))
             known(line_no, [l for _, l in curvature])
@@ -179,9 +186,11 @@ def parse_algebra_file(path):
             if head == "mbasis":
                 if len(toks) != 3:
                     err(line_no, 7, "expected 'mbasis <label> <degree>'")
-                current_module[1][toks[1]] = int(toks[2])
+                if toks[1] in current_module[1]:
+                    err(line_no, 7, f"label {toks[1]!r} declared twice")
+                current_module[1][toks[1]] = degree(line_no, line, toks[2])
             elif head == "act":
-                lhs, rhs = line.split("=", 1)
+                lhs, rhs = split_eq(line_no, line, 4, "act <a> <m> = ...")
                 parts = lhs.split()
                 if len(parts) != 3:
                     err(line_no, 4, "expected 'act <a> <m> = ...'")
@@ -191,7 +200,7 @@ def parse_algebra_file(path):
                       current_module[1])
                 current_module[2].append((parts[1], parts[2], terms))
             else:
-                lhs, rhs = line.split("=", 1)
+                lhs, rhs = split_eq(line_no, line, 6, "mdiff <m> = ...")
                 parts = lhs.split()
                 if len(parts) != 2:
                     err(line_no, 6, "expected 'mdiff <m> = ...'")

@@ -9,9 +9,12 @@
   N -> N (x) M and L -> Hom_{End M}(M, L), with explicitly constructed
   natural isomorphisms for the round trips.
 
-Hom spaces over End(M) are computed by solving the intertwiner equations
-exactly.  Two derived sign rules do real work here (both audited by the
-module validators):
+A Hom over End(M) is a Hom between two modules over one algebra:
+HomOverEnd(S, T) solves the intertwiner equations exactly, with M an
+End(M)-module by its matrix units (end_module) and the other side acting
+through its embedding of End(M) (restrict_to_end).  hom_differential is
+the one Hom differential.  Two derived sign rules do real work here
+(both audited by the module validators):
 
 * the left action of b on Hom_{End M}(K, M) by pre-composition is
   b . phi = (-1)^{|b|(|phi| + 1)} phi o (b . -), which is precisely what
@@ -24,27 +27,24 @@ module validators):
 from __future__ import annotations
 
 from .algebras import (CurvedModule, ModuleMap, TensorAlgebra,
-                       endomorphism_algebra, invert_morphism,
+                       endomorphism_algebra, free_module, invert_morphism,
                        module_action_map, pullback_module, tensor_algebras)
 from .bar import (TruncatedTensorAlgebra, WordBasis, _generator_diff_table,
                   _sxi_sign, canonical_mc, hochschild_via_twist)
-from .graded import GradedVectorSpace
+from .graded import GradedMap, GradedVectorSpace
 from .linalg import ColumnEchelon, Matrix, eliminate
-from .sparse import viadd, vleft, vneg, vright
+from .sparse import vec, viadd, vleft, vneg, vright
 from .twisting import twist_algebra, twist_module
 
 
 # ---------------------------------------------------------------------------
-# Hom over End(M)
+# Hom over an algebra
 
 
 class HomOverEnd:
-    """Basis of End(M)-linear maps, solved degree by degree.
-
-    mode "from": maps K -> M over End(M) acting on K through `end_embed`
-    (End basis index -> element of K's algebra) and tautologically on M.
-    mode "to": maps M -> L with L a module over an algebra containing
-    End(M) through `end_embed`.
+    """Basis of the C-linear maps S -> T between two left modules over one
+    algebra C, solved degree by degree: a degree-n map phi is C-linear when
+    phi(c . s) = (-1)^{n|c|} c . phi(s) for every basis element c of C.
 
     Coordinates of a degree-n map live on `slots[n]`, a list of
     (source basis index, target basis index) pairs; `basis[n]` holds the
@@ -52,84 +52,51 @@ class HomOverEnd:
     over those positions.
     """
 
-    def __init__(self, module: CurvedModule, M: CurvedModule, end_embed,
-                 end_labels, mode: str):
-        self.module = module
-        self.M = M
-        self.field = module.field
-        self.mode = mode
-        self.end_embed = end_embed
-        self.end_labels = end_labels
+    def __init__(self, S: CurvedModule, T: CurvedModule):
+        if S.algebra is not T.algebra:
+            raise ValueError("S and T must be modules over the same algebra")
+        self.S, self.T = S, T
+        self.field = S.field
         self.slots = {}
         self.basis = {}
         self._echelons = {}
-        K = module
-        src, tgt = (K, M) if mode == "from" else (M, K)
-        degrees = sorted({tgt.degree[b] - src.degree[a]
-                          for a in range(src.dim) for b in range(tgt.dim)})
-        for n in degrees:
-            slots = [(a, b) for a in range(src.dim) for b in range(tgt.dim)
-                     if tgt.degree[b] - src.degree[a] == n]
-            if not slots:
-                continue
-            spos = {s: i for i, s in enumerate(slots)}
-            rows = []
-            for t in range(len(end_embed)):
-                rows.extend(self._constraint_rows(n, spos, t))
-            m = Matrix.from_columns(self.field, len(slots), rows).transpose()
-            _, kernel, _ = eliminate(m)
+        by_degree = {}
+        for a in range(S.dim):
+            for b in range(T.dim):
+                by_degree.setdefault(T.degree[b] - S.degree[a], []).append(
+                    (a, b))
+        for n in sorted(by_degree):
+            slots = by_degree[n]
+            m = Matrix.from_columns(self.field, len(slots),
+                                    self._constraint_rows(n, slots))
+            _, kernel, _ = eliminate(m.transpose())
             if kernel:
                 self.slots[n] = slots
                 self.basis[n] = kernel
                 self._echelons[n] = ColumnEchelon(self.field, kernel,
                                                   track=True)
 
-    def _unit(self, t):
-        """End basis t as a matrix unit (M source index, M target index)."""
-        (p, a), (q, b) = self.end_labels[t]
-        return self.M.index[(p, a)], self.M.index[(q, b)], q - p
-
-    def _constraint_rows(self, n, spos, t):
-        """The constraints from End basis t, as sparse rows over slots."""
-        field = self.field
-        msrc, mtgt, tdeg = self._unit(t)
-        sgn = -field.one if (n * tdeg) % 2 else field.one
-        embed = self.end_embed[t]
-        rows = []
-        if self.mode == "from":
-            K, M = self.module, self.M
-            for j in range(K.dim):
-                # phi(T x_j) - (-1)^{n|T|} T(phi(x_j)) = 0 in M
-                img = vleft(K.action, embed, j)
-                per_target = {}
-                for k, c in img.items():
-                    for b0 in range(M.dim):
-                        if (k, b0) in spos:
-                            viadd(per_target.setdefault(b0, {}),
-                                  {spos[(k, b0)]: c})
-                if (j, msrc) in spos:
-                    viadd(per_target.setdefault(mtgt, {}),
-                          {spos[(j, msrc)]: -sgn})
-                rows.extend(row for row in per_target.values() if row)
-        else:
-            M, L = self.M, self.module
-            for a in range(M.dim):
-                # phi(T m_a) - (-1)^{n|T|} (embed T).phi(m_a) = 0 in L
-                per_target = {}
-                if a == msrc:
-                    for l0 in range(L.dim):
-                        if (mtgt, l0) in spos:
-                            viadd(per_target.setdefault(l0, {}),
-                                  {spos[(mtgt, l0)]: field.one})
-                for l in range(L.dim):
-                    if (a, l) not in spos:
-                        continue
-                    img = vleft(L.action, embed, l)
-                    for l2, c in img.items():
-                        viadd(per_target.setdefault(l2, {}),
-                              {spos[(a, l)]: -sgn * c})
-                rows.extend(row for row in per_target.values() if row)
-        return rows
+    def _constraint_rows(self, n, slots):
+        """phi(c . s_j) - (-1)^{n|c|} c . phi(s_j) = 0 in T for every basis
+        element c of C and every s_j: one sparse row over the slots per
+        (c, j, basis vector of T), read off the nonzero action entries."""
+        by_source, by_target = {}, {}
+        for pos, (a, b) in enumerate(slots):
+            by_source.setdefault(a, []).append((b, pos))
+            by_target.setdefault(b, []).append((a, pos))
+        rows = {}
+        for (c, j), img in self.S.action.items():
+            for k, x in img.items():
+                for b, pos in by_source.get(k, ()):
+                    viadd(rows.setdefault((c, j, b), {}), {pos: x})
+        cdeg = self.S.algebra.degree
+        for (c, l), img in self.T.action.items():
+            odd = (n * cdeg[c]) % 2
+            for j, pos in by_target.get(l, ()):
+                for b, x in img.items():
+                    viadd(rows.setdefault((c, j, b), {}),
+                          {pos: x if odd else -x})
+        return [row for row in rows.values() if row]
 
     def space(self) -> GradedVectorSpace:
         return GradedVectorSpace(
@@ -138,6 +105,10 @@ class HomOverEnd:
 
     def dims(self):
         return {n: len(bs) for n, bs in self.basis.items()}
+
+    def differential(self):
+        """The Hom differential in the solved bases (see `induced`)."""
+        return self.induced(1, hom_differential(self.S, self.T))
 
     def induced(self, shift, image):
         """The map of solved Hom spaces that sends the slot s of a degree-n
@@ -170,7 +141,7 @@ class HomOverEnd:
         E = self._echelons.get(n)
         if E is None:
             if vec:
-                raise ValueError("map is not End-linear / wrong degree")
+                raise ValueError("map is not C-linear / wrong degree")
             return {}
         x = E.solve(vec)
         if x is None:
@@ -188,6 +159,48 @@ def end_embed_tensor(Ep: TensorAlgebra):
     """End(M) basis -> elements 1 (x) T of B (x) End(M)."""
     B, endm = Ep.left, Ep.right
     return [Ep.embed(B.unit, endm.basis_vec(t)) for t in range(endm.dim)]
+
+
+def end_module(endm, space: GradedVectorSpace, diff) -> CurvedModule:
+    """M as a left module over End(M) = endomorphism_algebra(space, ...):
+    the matrix unit ((p, a), (q, b)) sends the basis vector (p, a) to
+    (q, b).  `diff` is M's differential table."""
+    index = space.flat[1]
+    one = endm.field.one
+    action = {(t, index[s]): {index[u]: one}
+              for t, (_, (s, u)) in enumerate(endm.basis)}
+    return CurvedModule(endm, space, action, diff, check=False)
+
+
+def restrict_to_end(X: CurvedModule, endm, embed) -> CurvedModule:
+    """X as a module over End(M), acting through `embed` (End basis index
+    -> element of X's algebra, from end_embed_bar or end_embed_tensor).
+
+    Not validated: X's differential squares to the curvature of X's own
+    algebra, which need not come from End(M)."""
+    action = {}
+    for t, e in enumerate(embed):
+        for j in range(X.dim):
+            img = vleft(X.action, e, j)
+            if img:
+                action[(t, j)] = img
+    return CurvedModule(endm, X.space, action, X.diff, check=False)
+
+
+def hom_differential(S, T):
+    """d phi = d_T o phi - (-1)^{|phi|} phi o d_S on the maps S -> T:
+    image(n, (a, b)) is the list [(slot, coeff)] of d applied to the
+    degree-n map sending basis a of S to basis b of T."""
+    hits = {}  # hits[a] = [(k, c)] for the terms c s_a of d s_k
+    for k in range(S.dim):
+        for a, c in S.diff.get(k, {}).items():
+            hits.setdefault(a, []).append((k, c))
+
+    def image(n, slot):
+        a, b = slot
+        return ([((a, b2), c) for b2, c in T.diff.get(b, {}).items()]
+                + [((k, b), c if n % 2 else -c) for k, c in hits.get(a, ())])
+    return image
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +244,6 @@ def functor_F(N: CurvedModule, M: CurvedModule, W: int, E=None, check=True):
     elif E.W != W:
         raise ValueError(f"E is truncated at W={E.W}, not at W={W}")
     field = A.field
-    one = field.one
     aug = E.aug
     Nb = aug.transport_module(N, check=check)
     Mb = aug.transport_module(M, check=check)
@@ -243,23 +255,18 @@ def functor_F(N: CurvedModule, M: CurvedModule, W: int, E=None, check=True):
     hdeg = {(j, b): Mb.degree[b] - Nb.degree[j] for (j, b) in hom_basis}
     words = WordBasis(Ew.gdeg, W, hom_basis, hdeg)
 
-    # the End(M) matrix unit t = (s -> u) acts by post-composition,
-    # t o phi_{j->s} = phi_{j->u}
-    ends = [(Mb.index[s], Mb.index[u]) for (_, (s, u)) in E.coeff.basis]
-    post = {(t, (j, s)): {(j, u): one}
-            for t, (s, u) in enumerate(ends) for j in range(Nb.dim)}
+    # End(M) acts by post-composition, t o phi_{j->s} = sum (t.s)_u phi_{j->u}
+    Me = end_module(E.coeff, Mb.space, Mb.diff)
+    post = {(t, (j, s)): {(j, u): c for u, c in col.items()}
+            for (t, s), col in Me.action.items() for j in range(Nb.dim)}
     action = words.concatenation(Ew, post)
 
-    # internal Hom differential: d_M o phi - (-1)^{|phi|} phi o d_N
+    d_hom = hom_differential(Nb, Mb)
     hom_d = {}
-    for j, b in hom_basis:
-        col = {(j, b2): c for b2, c in Mb.diff.get(b, {}).items()}
-        for j0 in range(Nb.dim):
-            c = Nb.diff.get(j0, {}).get(j)
-            if c:
-                viadd(col, {(j0, b): c if hdeg[(j, b)] % 2 else -c})
+    for jb in hom_basis:
+        col = vec(*d_hom(hdeg[jb], jb))
         if col:
-            hom_d[(j, b)] = col
+            hom_d[jb] = col
     diff = words.derivation(_generator_diff_table(E.source, aug), hom_d)
 
     # right end term through the action on N:
@@ -421,7 +428,6 @@ def functor_G(L: CurvedModule, M: CurvedModule, check=True) -> CurvedModule:
         raise ValueError("L must be a module over a Hochschild algebra "
                          "built by hochschild_via_twist")
     field = E.field
-    one = field.one
     aug = E.aug
     R = aug.algebra
     Mb = aug.transport_module(M, check=check)
@@ -431,89 +437,46 @@ def functor_G(L: CurvedModule, M: CurvedModule, check=True) -> CurvedModule:
     E0 = E.retwisted(untw.diff, untw.curvature, check=False)
     K = twist_module(L, vneg(xi), algebra=E0, check=check)
 
-    H = HomOverEnd(K, Mb, end_embed_bar(E0),
-                   [lbl for (_, lbl) in E0.coeff.basis], "from")
-    hdims = H.dims()
+    endm = E0.coeff
+    H = HomOverEnd(restrict_to_end(K, endm, end_embed_bar(E0)),
+                   end_module(endm, Mb.space, Mb.diff))
 
-    # beta action of the generators and the Hom differential, in H coords
-    gen_elems = []
-    for pos, (src, gd) in enumerate(E0.gens):
-        vec = {}
-        for cu, vu in E0.coeff.unit.items():
-            viadd(vec, {E0.word_coeff_index((pos,), cu): vu})
-        gen_elems.append((gd, vec))
-    betas = beta_table(H, K, gen_elems)
+    # beta action of the generators g_i (x) 1, in H coords
+    betas = beta_table(H, K, [
+        (gd, vec(*((E0.word_coeff_index((pos,), cu), c)
+                   for cu, c in endm.unit.items())))
+        for pos, (_, gd) in enumerate(E0.gens)])
 
-    # d_H phi = d_M o phi - (-1)^{|phi|} phi o d_K; hits[k] = [(k2, c)]
-    # for the terms c x_k of d x_k2
-    hits = {}
-    for k2 in range(K.dim):
-        for k, c in K.diff.get(k2, {}).items():
-            hits.setdefault(k, []).append((k2, c))
-
-    def d_image(n, slot):
-        k, b = slot
-        sgn = one if n % 2 else -one
-        return ([((k, b2), c) for b2, c in Mb.diff.get(b, {}).items()]
-                + [((k2, b), sgn * c) for k2, c in hits.get(k, ())])
-    dH = H.induced(1, d_image)
-
-    # assemble A (x) H over the re-based algebra, then pull back
-    comp = {}
-    for i in range(R.dim):
-        for n, cnt in sorted(hdims.items()):
-            for hi in range(cnt):
-                comp.setdefault(R.degree[i] + n, []).append((i, (n, hi)))
-    space = GradedVectorSpace(comp)
-    index = space.flat[1]
+    # A (x) H over the re-based algebra, d(a (x) phi) = da (x) phi +
+    # (-1)^{|a|} a (x) d_H phi, plus the twist operator (module docstring)
+    V = GradedVectorSpace({n: range(len(bs)) for n, bs in H.basis.items()})
+    dV = GradedMap(field, V, V, 1, {
+        n: Matrix.from_columns(field, V.dim(n + 1), cols)
+        for n, cols in H.differential().items()})
+    AH = free_module(R, V, dV, check=False)
+    diff = AH.diff
 
     def gidx(i, n, hi):
-        return index[(R.degree[i] + n, (i, (n, hi)))]
+        return AH.index[(R.degree[i] + n, (i, (n, hi)))]
 
-    action = {}
-    for b in range(R.dim):
-        for i in range(R.dim):
-            prod = R.mult.get((b, i))
+    for i in range(R.dim):
+        for pos, (src, gd) in enumerate(E0.gens):
+            prod = R.mult.get((i, src))
             if not prod:
                 continue
-            for n, cnt in hdims.items():
-                for hi in range(cnt):
-                    col = {gidx(k, n, hi): c for k, c in prod.items()}
-                    action[(b, gidx(i, n, hi))] = col
-
-    srcs = [s for (s, _) in E0.gens]
-    etas = [_eta_sign(field, 1 - gd) for (_, gd) in E0.gens]
-    diff = {}
-    for i in range(R.dim):
-        ideg = R.degree[i]
-        isgn = -one if ideg % 2 else one
-        for n, cnt in hdims.items():
-            for hi in range(cnt):
-                col = {}
-                da = R.diff.get(i)
-                if da:
-                    for k, c in da.items():
-                        viadd(col, {gidx(k, n, hi): c})
-                for hj, c in dH[n][hi].items():
-                    viadd(col, {gidx(i, n + 1, hj): isgn * c})
-                for pos in range(len(srcs)):
-                    prod = R.mult.get((i, srcs[pos]))
-                    if not prod:
-                        continue
-                    cols = betas[pos].get(n)
-                    if cols is None:
-                        continue
-                    m = n + E0.gens[pos][1]
-                    for hj, c in cols[hi].items():
-                        t = etas[pos] * c
-                        if ideg % 2:
-                            t = -t
+            eta = _eta_sign(field, 1 - gd)
+            if R.degree[i] % 2:
+                eta = -eta
+            for n, cols in betas[pos].items():
+                for hi, bcol in enumerate(cols):
+                    col = diff.setdefault(gidx(i, n, hi), {})
+                    for hj, c in bcol.items():
+                        t = eta * c
                         for k, ck in prod.items():
-                            viadd(col, {gidx(k, m, hj): t * ck})
-                if col:
-                    diff[gidx(i, n, hi)] = col
+                            viadd(col, {gidx(k, n + gd, hj): t * ck})
 
-    GL = CurvedModule(R, space, action, diff, check=check)
+    diff = {g: col for g, col in diff.items() if col}
+    GL = CurvedModule(R, AH.space, AH.action, diff, check=check)
     if R is not aug.original:
         GL = pullback_module(GL, invert_morphism(aug.iso, check=False),
                              check=check)
@@ -529,13 +492,11 @@ def morita_prime_F(N: CurvedModule, Mspace: GradedVectorSpace,
     """F'(N) = N (x) M over E' = B (x) End(M), for a plain graded space M."""
     B = N.algebra
     field = B.field
-    one = field.one
     if Ep is None:
         endm = endomorphism_algebra(Mspace, None, field, check=check)
         Ep = tensor_algebras(B, endm, check=check)
     endm = Ep.right
-    end_labels = [lbl for (_, lbl) in endm.basis]
-    mbasis, mindex = Mspace.flat
+    mbasis = Mspace.flat[0]
 
     comp = {}
     for j in range(N.dim):
@@ -547,21 +508,19 @@ def morita_prime_F(N: CurvedModule, Mspace: GradedVectorSpace,
     def pidx(j, a):
         return index[(N.degree[j] + mbasis[a][0], (j, a))]
 
+    # (b (x) t).(n (x) m) = (-1)^{|t||n|} b.n (x) t.m
     action = {}
-    for e in range(Ep.dim):
-        bi, ti = Ep.factors_of[e]
-        (p, al), (q, bl) = end_labels[ti]
-        src, tgt = mindex[(p, al)], mindex[(q, bl)]
-        tdeg = q - p
-        for j in range(N.dim):
-            img = N.action.get((bi, j))
-            if not img:
-                continue
-            sgn = -one if (tdeg * N.degree[j]) % 2 else one
-            col = {}
-            for j2, c in img.items():
-                viadd(col, {pidx(j2, tgt): sgn * c})
-            action[(e, pidx(j, src))] = col
+    for (ti, s), tcol in end_module(endm, Mspace, {}).action.items():
+        odd = endm.degree[ti] % 2
+        for bi in range(B.dim):
+            e = Ep.pair_index[(bi, ti)]
+            for j in range(N.dim):
+                img = N.action.get((bi, j))
+                if img:
+                    neg = odd and N.degree[j] % 2
+                    action[(e, pidx(j, s))] = vec(*(
+                        (pidx(j2, u), -c * cu if neg else c * cu)
+                        for j2, c in img.items() for u, cu in tcol.items()))
 
     diff = {}
     for j in range(N.dim):
@@ -585,47 +544,34 @@ def morita_prime_G(L: CurvedModule, Mspace: GradedVectorSpace,
     if not isinstance(Ep, TensorAlgebra):
         raise ValueError("L must be a module over B (x) End(M)")
     B, endm = Ep.left, Ep.right
-    Mmod = _tautological_module(Mspace, B.field)
-    H = HomOverEnd(L, Mmod, end_embed_tensor(Ep),
-                   [lbl for (_, lbl) in endm.basis], "to")
+    H = HomOverEnd(end_module(endm, Mspace, {}),
+                   restrict_to_end(L, endm, end_embed_tensor(Ep)))
     hspace = H.space()
     fpos = hspace.flat[1]
 
-    def hidx(n, i):
-        return fpos[(n, ("h", n, i))]
-
-    def columns(shift, images):
-        """(flat index, column) of each nonzero induced map, for the map
-        of L that sends x_l to images[l], applied to phi(m_a)."""
-        induced = H.induced(shift, lambda n, slot: [
-            ((slot[0], l2), c) for l2, c in images[slot[1]].items()])
+    def columns(shift, induced):
+        """(flat index, column) of each nonzero map of an induced table."""
         for n, cols in induced.items():
             for i, x in enumerate(cols):
                 if x:
-                    yield hidx(n, i), {hidx(n + shift, hj): c
-                                       for hj, c in x.items()}
+                    yield (fpos[(n, ("h", n, i))],
+                           {fpos[(n + shift, ("h", n + shift, hj))]: c
+                            for hj, c in x.items()})
 
     # B-action: (b.phi)(m) = (b (x) 1) . phi(m)
     action = {}
     for bi in range(B.dim):
         bvec = Ep.embed(B.basis_vec(bi), endm.unit)
         images = [vleft(L.action, bvec, l) for l in range(L.dim)]
+        induced = H.induced(B.degree[bi], lambda n, slot: [
+            ((slot[0], l2), c) for l2, c in images[slot[1]].items()])
         action.update(((bi, k), col)
-                      for k, col in columns(B.degree[bi], images))
-    diff = dict(columns(1, [L.diff.get(l, {}) for l in range(L.dim)]))
+                      for k, col in columns(B.degree[bi], induced))
+    diff = dict(columns(1, H.differential()))
 
     GL = CurvedModule(B, hspace, action, diff, check=check)
     GL.hom = H
     return GL
-
-
-def _tautological_module(Mspace: GradedVectorSpace, field) -> CurvedModule:
-    """M as a module over a trivial algebra placeholder (only the graded
-    structure matters to HomOverEnd)."""
-    from .bar import trivial_algebra
-    triv = trivial_algebra(field)
-    action = {(0, j): {j: field.one} for j in range(Mspace.total_dim)}
-    return CurvedModule(triv, Mspace, action, {}, check=False)
 
 
 def prime_unit_iso(N: CurvedModule, Mspace: GradedVectorSpace, Ep, FpN,

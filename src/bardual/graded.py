@@ -6,9 +6,9 @@ Conventions used everywhere in this package:
   checked eagerly whenever a Complex is built;
 * suspension raises degree: shift(V, k) puts V_n in degree n+k;
 * duals negate degrees, (V*)_n = (V_{-n})*, and keep the same basis labels;
-* the Koszul sign rule is implemented exactly once, in dual_map /
-  tensor_map / hom_complex, and audited by the eager d² checks rather
-  than trusted.
+* the Koszul sign rule is written out by each construction that needs
+  it (here dual_map / tensor_map / hom_complex) and audited by the eager
+  d² checks and the validators rather than trusted.
 """
 
 from __future__ import annotations

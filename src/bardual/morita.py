@@ -124,7 +124,11 @@ class OrdinaryModule:
 
 
 def regular_ordinary(A: OrdinaryAlgebra) -> OrdinaryModule:
-    mats = [A.left_mult_matrix(A.algebra.basis_vec(i)) for i in range(A.n)]
+    """A acting on itself; the matrix of e_i has the columns mult[(i, j)]."""
+    mult = A.algebra.mult
+    mats = [Matrix.from_columns(A.field, A.n, [dict(mult.get((i, j), {}))
+                                               for j in range(A.n)])
+            for i in range(A.n)]
     return OrdinaryModule(A, mats, check=False)
 
 
@@ -156,7 +160,7 @@ def radical(A: OrdinaryAlgebra):
             f"the trace-form radical needs characteristic 0 or p > dim A; "
             f"got p={p} <= dim A={A.n}, a limit of this method that no "
             f"field extension lifts")
-    L = [A.left_mult_matrix(A.algebra.basis_vec(i)) for i in range(A.n)]
+    L = regular_ordinary(A).mats
     zero = A.field.zero
 
     def trace(m):
@@ -212,13 +216,13 @@ def quotient_algebra(A: OrdinaryAlgebra, ideal):
 def center(A: OrdinaryAlgebra):
     """Basis of the center: solutions of x e_i - e_i x = 0 for all i."""
     n = A.n
-    basis = [A.algebra.basis_vec(i) for i in range(n)]
+    mult = A.algebra.mult
     # column j: the unknown x_j; row i * n + k: e_k in e_j e_i - e_i e_j
     cols = []
-    for ej in basis:
+    for j in range(n):
         col = {}
-        for i, ei in enumerate(basis):
-            comm = vadd(A.mul(ej, ei), vneg(A.mul(ei, ej)))
+        for i in range(n):
+            comm = vadd(mult.get((j, i), {}), vneg(mult.get((i, j), {})))
             col.update((i * n + k, c) for k, c in comm.items())
         cols.append(col)
     _, kernel, _ = eliminate(Matrix.from_columns(A.field, n * n, cols))
@@ -420,7 +424,7 @@ def block_simple_module(S: OrdinaryAlgebra, e, seed=777):
     extend-the-field error if no candidate certifies splitness.
     """
     field = S.field
-    mats = [S.left_mult_matrix(S.algebra.basis_vec(i)) for i in range(S.n)]
+    mats = regular_ordinary(S).mats
     # block subspace e.S.e? For a central idempotent, the block is e.S
     e_basis = quotient_representatives(
         (), [vleft(S.algebra.mult, e, i) for i in range(S.n)], field)
@@ -493,7 +497,7 @@ def decompose_regular_semisimple(A: OrdinaryAlgebra, seed=99):
     rad = radical(A)
     S, _, _ = (quotient_algebra(A, rad) if rad
                else (A, None, None))
-    mats = [S.left_mult_matrix(S.algebra.basis_vec(i)) for i in range(S.n)]
+    mats = regular_ordinary(S).mats
     reps = []
     current_mats = mats
     dim = S.n

@@ -307,6 +307,29 @@ def test_bad_input_is_one_line_with_exit_2(argv, capsys):
     assert out.startswith("error: ") and out.count("\n") == 1, out
 
 
+MODULE_HEAD = "field Q\nbasis 1 0\nunit 1\n\nmodule V\nmbasis m 0\n"
+
+
+@pytest.mark.parametrize("text,line", [
+    (MODULE_HEAD + "mbasis n x\n", 7),
+    (MODULE_HEAD + "act 1 m\n", 7),
+    (MODULE_HEAD + "mdiff m\n", 7),
+    ("field Q\nbasis 1 0\nunit 1\ncurvature 1\n", 4),
+    (MODULE_HEAD + "mbasis m 1\n", 7),
+], ids=["mbasis-degree", "act-without-eq", "mdiff-without-eq",
+        "curvature-without-eq", "mbasis-twice"])
+def test_malformed_file_is_a_parse_error_with_exit_2(text, line, tmp_path,
+                                                     capsys):
+    p = tmp_path / "bad.alg"
+    p.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        parse_algebra_file(str(p))
+    assert exc.value.line == line
+    assert main(["verify", "--algebra", str(p)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"error: {p}:{line}:") and out.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["morita", "--algebra", "mat2", "--field", "F3"],
     ["koszul-check", "--algebra", "mat2", "--module", "A", "--field", "F3",

@@ -6,10 +6,11 @@ from bardual.algebras import (CurvedModule, acyclic_two_dim, free_module,
                               product)
 from bardual.bar import hochschild_via_twist, reduced_bar
 from bardual.catalog import builtin_algebra, builtin_module
-from bardual.duality import (HomOverEnd, end_embed_tensor, functor_F,
-                             functor_G, morita_prime_F, morita_prime_G,
-                             prime_counit_iso, prime_unit_iso,
-                             right_action_report, right_hochschild_action)
+from bardual.duality import (HomOverEnd, end_embed_tensor, end_module,
+                             functor_F, functor_G, morita_prime_F,
+                             morita_prime_G, prime_counit_iso, prime_unit_iso,
+                             restrict_to_end, right_action_report,
+                             right_hochschild_action)
 from bardual.fields import QQ
 from bardual.graded import GradedVectorSpace, cohomology
 from bardual.linalg import Matrix, eliminate
@@ -186,7 +187,6 @@ def test_hom_dual_pairing_is_perfect():
     # (phi, psi) -> psi o phi in End_{End M}(M) = k is perfect.
     from bardual.algebras import endomorphism_algebra, tensor_algebras
     from bardual.bar import trivial_algebra
-    from bardual.duality import _tautological_module
     M2 = GradedVectorSpace({0: ["m1", "m2"]})
     endm = endomorphism_algebra(M2, None, QQ)
     triv = trivial_algebra(QQ)
@@ -194,11 +194,10 @@ def test_hom_dual_pairing_is_perfect():
     # K = End(M) itself as an Ep-module: Hom(M, K) and Hom(K, M) are both
     # two-dimensional and the pairing between them is perfect
     K = free_module(Ep, GradedVectorSpace({0: ["v"]}), None)
-    Mmod = _tautological_module(M2, QQ)
-    to_h = HomOverEnd(K, Mmod, end_embed_tensor(Ep),
-                      [lbl for (_, lbl) in endm.basis], "to")
-    from_h = HomOverEnd(K, Mmod, end_embed_tensor(Ep),
-                        [lbl for (_, lbl) in endm.basis], "from")
+    Mmod = end_module(endm, M2, {})
+    Kend = restrict_to_end(K, endm, end_embed_tensor(Ep))
+    to_h = HomOverEnd(Mmod, Kend)
+    from_h = HomOverEnd(Kend, Mmod)
     dims_to = to_h.dims()
     dims_from = from_h.dims()
     assert dims_to.get(0, 0) == dims_from.get(0, 0) == 2
@@ -223,6 +222,30 @@ def test_hom_dual_pairing_is_perfect():
             pm[a].append(cols[0].get(0, QQ.zero))
     r, _, _ = eliminate(Matrix.from_rows(QQ, pm))
     assert r == n
+
+
+ORDINARY = ("k", "kxk", "dual_numbers", "upper_tri_2", "mat2")
+
+
+@pytest.mark.parametrize("name", ORDINARY)
+def test_hom_solver_agrees_with_the_oracle(field, name):
+    # Hom_A(S, T) from HomOverEnd against the independent intertwiner
+    # solve of morita.hom_modules, for S, T among k, A and Adual
+    from bardual.morita import OrdinaryAlgebra, OrdinaryModule, hom_modules
+    A = builtin_algebra(name, field)
+    Ao = OrdinaryAlgebra(A)
+    mods = {}
+    for m in ("k", "A", "Adual"):
+        try:
+            mods[m] = builtin_module(A, name, m)
+        except ValueError:
+            pass
+    assert len(mods) == (2 if name == "mat2" else 3)
+    for S in mods.values():
+        for T in mods.values():
+            want = len(hom_modules(Ao, OrdinaryModule.from_curved(Ao, S),
+                                   OrdinaryModule.from_curved(Ao, T)))
+            assert HomOverEnd(S, T).dims().get(0, 0) == want
 
 
 def test_F_is_contravariant_on_morphisms():

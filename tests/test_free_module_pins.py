@@ -26,7 +26,8 @@ from bardual.graded import GradedVectorSpace
 from bardual.sampling import random_square_zero
 from test_tables import FIELDS
 
-EXPECTED = pathlib.Path(__file__).resolve().parent / "expected_free_module.json"
+EXPECTED = pathlib.Path(__file__).resolve().parent / \
+    "expected_free_module.json"
 SPACES = {
     "V1": (GradedVectorSpace({-1: ["a", "b"], 0: ["c", "d"]}), 4),
     "V2": (GradedVectorSpace({0: ["p"], 1: ["q", "r"], 2: ["s", "t"]}), 4),
