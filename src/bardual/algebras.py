@@ -9,10 +9,14 @@ endomorphism algebras) have units that are sums of basis vectors.
 
 `CurvedAlgebra` and `CurvedModule` share one base, `_DiffSpace`: the
 space with its flat basis and index, the degree of each basis index,
-the differential table `diff`, `d`, `diff_map` and `as_complex`.  Every
-table is applied by the kernels of `sparse` (`vapply`, `vleft`,
-`vright`, `vbilinear`); a product with a basis element passes the
-element's index.
+the differential table `diff`, `d` and `as_complex`.  Every table is
+applied by the kernels of `sparse` (`vapply`, `vleft`, `vright`,
+`vbilinear`); a product with a basis element passes the element's index.
+A differential passes from one construction to another as its table, and
+becomes blocks only in `as_complex`, through `GradedMap.from_table`.  The
+Hom differential (`hom_differential`) and the tensor differential
+(`_tensor_diff`) are each written once: End(M) takes [d, -] from the
+first, and A (x) B, A (x) V and N (x) M take theirs from the second.
 
 Every defining identity is machine-checked by `validate`:
 
@@ -254,11 +258,9 @@ class _DiffSpace:
     def d(self, x: dict) -> dict:
         return vapply(self.diff, x)
 
-    def diff_map(self) -> GradedMap:
-        return _table_to_map(self.field, self.space, self.diff, 1)
-
     def as_complex(self) -> Complex:
-        return Complex(self.field, self.space, self.diff_map())
+        return Complex(self.field, self.space, GradedMap.from_table(
+            self.field, self.space, self.diff, 1))
 
 
 class CurvedAlgebra(_DiffSpace):
@@ -387,28 +389,6 @@ def _inverse_table(table, S, T):
             if col:
                 inv_table[k] = {cols[r]: v for r, v in col.items()}
     return inv_table
-
-
-def _table_to_map(field, space, table, degree):
-    """Sparse column table over the flat indices of `space` -> GradedMap.
-
-    Each block keeps the table's sparse columns, re-indexed to positions
-    within the target degree; no dense block is ever filled.
-    """
-    start, first = {}, 0      # the flat basis runs through degrees in order
-    for d in space.degrees:
-        start[d], first = first, first + space.dim(d)
-    blocks = {}
-    for d in space.degrees:
-        rows = space.dim(d + degree)
-        if not rows:
-            continue
-        t = start[d + degree]
-        cols = [{k - t: v for k, v in table.get(i, {}).items()}
-                for i in range(start[d], start[d] + space.dim(d))]
-        if any(cols):
-            blocks[d] = Matrix.from_columns(field, rows, cols)
-    return GradedMap(field, space, space, degree, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -780,6 +760,23 @@ class TensorAlgebra(CurvedAlgebra):
                      for i, ci in va.items() for j, cj in vb.items()))
 
 
+def _tensor_diff(X, ydiff, ydim, pair):
+    """d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy on X (x) Y, as a table
+    over the indices pair(i, j) of x_i (x) y_j: X is an algebra or a
+    module, `ydiff` the differential table of Y and `ydim` its dimension."""
+    diff = {}
+    for i in range(X.dim):
+        dx = X.diff.get(i, {})
+        odd = X.degree[i] % 2
+        for j in range(ydim):
+            col = vec(*((pair(k, j), c) for k, c in dx.items()),
+                      *((pair(i, k), -c if odd else c)
+                        for k, c in ydiff.get(j, {}).items()))
+            if col:
+                diff[pair(i, j)] = col
+    return diff
+
+
 def tensor_algebras(A: CurvedAlgebra, B: CurvedAlgebra,
                     check=True) -> TensorAlgebra:
     """A (x) B with (a(x)b)(a'(x)b') = (-1)^{|b||a'|} aa' (x) bb'.
@@ -821,22 +818,10 @@ def tensor_algebras(A: CurvedAlgebra, B: CurvedAlgebra,
                     col = embed(p, q if sgn == one else vneg(q))
                     if col:
                         mult[(src1, pair(k, l))] = col
-    diff = {}
-    for i in range(A.dim):
-        da = A.diff.get(i)
-        sgn = -one if A.degree[i] % 2 else one
-        for j in range(B.dim):
-            col = {}
-            if da:
-                viadd(col, embed(da, B.basis_vec(j)))
-            db = B.diff.get(j)
-            if db:
-                viadd(col, embed(A.basis_vec(i), db), sgn)
-            if col:
-                diff[pair(i, j)] = col
     unit = embed(A.unit, B.unit)
     curv = vadd(embed(A.curvature, B.unit), embed(A.unit, B.curvature))
-    return TensorAlgebra(A.field, space, unit, mult, diff, curv, A, B,
+    return TensorAlgebra(A.field, space, unit, mult,
+                         _tensor_diff(A, B.diff, B.dim, pair), curv, A, B,
                          check=check)
 
 
@@ -915,10 +900,11 @@ def dual_regular_module(A: CurvedAlgebra, check=True) -> CurvedModule:
     return CurvedModule(A, space, action, diff, check=check)
 
 
-def free_module(A: CurvedAlgebra, V: GradedVectorSpace,
-                dV: GradedMap | None = None, check=True) -> CurvedModule:
+def free_module(A: CurvedAlgebra, V: GradedVectorSpace, dV: dict,
+                check=True) -> CurvedModule:
     """A (x) V with action a.(b (x) v) = ab (x) v and differential
-    d(b (x) v) = db (x) v + (-1)^{|b|} b (x) dV(v).
+    d(b (x) v) = db (x) v + (-1)^{|b|} b (x) dV(v), for dV the table of
+    V's differential over its flat index.
 
     Basis labels are pairs (i, (degree, label)) of an index of A and a
     flat basis element of V, in the flat order of A, then of V.  An honest
@@ -936,7 +922,6 @@ def free_module(A: CurvedAlgebra, V: GradedVectorSpace,
     def pidx(i, j):
         return index[(A.degree[i] + basis_v[j][0], (i, basis_v[j]))]
 
-    one = A.field.one
     action = {}
     for a in range(A.dim):
         for i in range(A.dim):
@@ -946,44 +931,37 @@ def free_module(A: CurvedAlgebra, V: GradedVectorSpace,
             for j in range(len(basis_v)):
                 action[(a, pidx(i, j))] = {pidx(k, j): c
                                            for k, c in prod.items()}
-    # dV as columns over flat V indices
-    dv_cols = {}
-    if dV is not None and not dV.is_zero():
-        per_degree = {}
-        for j, (vd, vl) in enumerate(basis_v):
-            per_degree.setdefault(vd, []).append(j)
-        for vd, idxs in per_degree.items():
-            blk = dV.block(vd)
-            tgt = per_degree.get(vd + 1, [])
-            for j, col in zip(idxs, blk.columns()):
-                if col:
-                    dv_cols[j] = {tgt[r]: c for r, c in col.items()}
-    diff = {}
-    for i in range(A.dim):
-        da = A.diff.get(i)
-        sgn = -one if A.degree[i] % 2 else one
-        for j in range(len(basis_v)):
-            col = {}
-            if da:
-                for k, c in da.items():
-                    viadd(col, {pidx(k, j): c})
-            dvj = dv_cols.get(j)
-            if dvj:
-                for k, c in dvj.items():
-                    viadd(col, {pidx(i, k): sgn * c})
-            if col:
-                diff[pidx(i, j)] = col
-    return CurvedModule(A, space, action, diff, check=check)
+    return CurvedModule(A, space, action,
+                        _tensor_diff(A, dV, len(basis_v), pidx), check=check)
 
 
-def endomorphism_algebra(space: GradedVectorSpace, dmap: GradedMap | None,
-                         field, check=True) -> CurvedAlgebra:
-    """End(M) for a graded space M with a degree-1 map d.
+def hom_differential(sdiff, tdiff):
+    """d phi = d_T o phi - (-1)^{|phi|} phi o d_S on the maps S -> T, for
+    `sdiff` and `tdiff` the differential tables of S and T: image(n, (a, b))
+    is the list [(slot, coeff)] of d applied to the degree-n map sending
+    basis a of S to basis b of T."""
+    hits = {}  # hits[a] = [(k, c)] for the terms c s_a of d s_k
+    for k in sorted(sdiff):
+        for a, c in sdiff[k].items():
+            hits.setdefault(a, []).append((k, c))
 
-    Product is composition; differential is [d, -]; curvature is the
-    element d o d (zero when d is an honest differential).  Basis labels
-    are ((p, a), (q, b)) meaning the unit sending basis a in degree p to
-    basis b in degree q; the element has degree q - p.
+    def image(n, slot):
+        a, b = slot
+        return ([((a, b2), c) for b2, c in tdiff.get(b, {}).items()]
+                + [((k, b), c if n % 2 else -c) for k, c in hits.get(a, ())])
+    return image
+
+
+def endomorphism_algebra(space: GradedVectorSpace, diff: dict, field,
+                         check=True) -> CurvedAlgebra:
+    """End(M) for a graded space M with a degree-1 map d, given by its
+    table `diff` over the flat index of `space`.
+
+    Product is composition; differential is [d, -], the Hom differential
+    on Hom(M, M); curvature is the element d o d (zero when d is an
+    honest differential).  Basis labels are ((p, a), (q, b)) meaning the
+    unit sending basis a in degree p to basis b in degree q; the element
+    has degree q - p.
     """
     comp = {}
     for p in space.degrees:
@@ -992,60 +970,29 @@ def endomorphism_algebra(space: GradedVectorSpace, dmap: GradedMap | None,
                 ((p, a), (q, b))
                 for a in space.labels(p) for b in space.labels(q))
     espace = GradedVectorSpace(comp)
-    basis, index = espace.flat
-
-    def unit_idx(p, a, q, b):
-        return index[(q - p, ((p, a), (q, b)))]
+    mbasis, mindex = space.flat
+    # slot[a, b]: End index of the unit sending basis a of M to basis b
+    slot = {(mindex[s], mindex[t]): i
+            for i, (_, (s, t)) in enumerate(espace.flat[0])}
+    into = {}  # into[b] = [(a, slot[a, b])] in End order
+    for (a, b), j in slot.items():
+        into.setdefault(b, []).append((a, j))
 
     one = field.one
-    mult = {}
-    for n1, (src1, tgt1) in basis:
-        i = index[(n1, (src1, tgt1))]
-        for n2, (src2, tgt2) in basis:
-            if tgt2 != src1:
-                continue
-            j = index[(n2, (src2, tgt2))]
-            mult[(i, j)] = {index[(tgt1[0] - src2[0], (src2, tgt1))]: one}
-    unit = {}
-    for p in space.degrees:
-        for a in space.labels(p):
-            unit[unit_idx(p, a, p, a)] = one
-
-    # matrix entries of d in the chosen bases
-    dm = dmap if dmap is not None else GradedMap.zero(field, space, space, 1)
-    diff = {}
-    curv = {}
-    if not dm.is_zero():
-        def d_entries(p):
-            labels_q = space.labels(p + 1)
-            return [(a, labels_q[ib], c) for a, col in
-                    zip(space.labels(p), dm.block(p).columns())
-                    for ib, c in col.items()]
-
-        for n, (src, tgt) in basis:
-            i = index[(n, (src, tgt))]
-            p, a = src
-            q, b = tgt
-            col = {}
-            # post-compose: d o T
-            for (b2, b3, c) in d_entries(q):
-                if b2 == b:
-                    viadd(col, {unit_idx(p, a, q + 1, b3): c})
-            # pre-compose: -(-1)^{|T|} T o d, i.e. sum over a' with d(a') ~ a
-            sgn = one if n % 2 else -one
-            for (a2, a3, c) in d_entries(p - 1):
-                if a3 == a:
-                    viadd(col, {unit_idx(p - 1, a2, q, b): sgn * c})
-            if col:
-                diff[i] = col
-        # curvature element = d o d as an endomorphism
-        dd = dm.compose(dm)
-        for p in space.degrees:
-            labels_q = space.labels(p + 2)
-            for a, col in zip(space.labels(p), dd.block(p).columns()):
-                for ib, c in col.items():
-                    viadd(curv, {unit_idx(p, a, p + 2, labels_q[ib]): c})
-    return CurvedAlgebra(field, espace, unit, mult, diff, curv, check=check)
+    # (b -> c) o (a -> b) = (a -> c)
+    mult = {(i, j): {slot[a, c]: one}
+            for (b, c), i in slot.items() for a, j in into[b]}
+    unit = {slot[a, a]: one for a in range(len(mbasis))}
+    image = hom_differential(diff, diff)
+    ediff = {}
+    for (a, b), i in slot.items():
+        col = vec(*((slot[s], c) for s, c in
+                    image(mbasis[b][0] - mbasis[a][0], (a, b))))
+        if col:
+            ediff[i] = col
+    curv = {slot[a, c]: v for a in range(len(mbasis))
+            for c, v in vapply(diff, diff.get(a, {})).items()}
+    return CurvedAlgebra(field, espace, unit, mult, ediff, curv, check=check)
 
 
 def module_action_map(M: CurvedModule, end_alg: CurvedAlgebra) -> dict:

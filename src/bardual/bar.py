@@ -49,9 +49,9 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .algebras import (CurvedAlgebra, CurvedModule, CurvedMorphism,
-                       _table_to_map, change_basis, endomorphism_algebra,
-                       identity_morphism, module_action_map, pullback_module)
-from .graded import Complex, GradedVectorSpace
+                       change_basis, endomorphism_algebra, identity_morphism,
+                       module_action_map, pullback_module)
+from .graded import Complex, GradedMap, GradedVectorSpace
 from .linalg import Matrix
 from .sparse import viadd
 from .twisting import twist_algebra, twist_module
@@ -395,7 +395,7 @@ def hochschild_via_twist(A: CurvedAlgebra, W: int, M: CurvedModule = None,
         Mb = aug.transport_module(M, check=check) if reduced else M
         if Mb.dim == 0:
             raise ValueError("coefficient module must be non-zero")
-        endm = endomorphism_algebra(Mb.space, Mb.diff_map(), A.field,
+        endm = endomorphism_algebra(Mb.space, Mb.diff, A.field,
                                     check=check)
         coeff, delta = endm, module_action_map(Mb, endm)
     elif coeff_delta is not None:
@@ -425,7 +425,8 @@ class HochschildCochains:
 
     def as_complex(self) -> Complex:
         field, space = self.coeff.field, self.word_basis.space
-        return Complex(field, space, _table_to_map(field, space, self.diff, 1))
+        return Complex(field, space,
+                       GradedMap.from_table(field, space, self.diff, 1))
 
 
 def hochschild_cochains(A: CurvedAlgebra, M: CurvedModule, W: int,
@@ -446,7 +447,7 @@ def hochschild_cochains(A: CurvedAlgebra, M: CurvedModule, W: int,
     aug = fake_augmentation(A)
     R = aug.algebra
     Mb = aug.transport_module(M, check=check)
-    endm = endomorphism_algebra(Mb.space, Mb.diff_map(), field, check=check)
+    endm = endomorphism_algebra(Mb.space, Mb.diff, field, check=check)
     delta = module_action_map(Mb, endm)
 
     gens = [(i, 1 - R.degree[i]) for i in aug.plus]

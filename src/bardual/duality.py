@@ -12,9 +12,10 @@
 A Hom over End(M) is a Hom between two modules over one algebra:
 HomOverEnd(S, T) solves the intertwiner equations exactly, with M an
 End(M)-module by its matrix units (end_module) and the other side acting
-through its embedding of End(M) (restrict_to_end).  hom_differential is
-the one Hom differential.  Two derived sign rules do real work here
-(both audited by the module validators):
+through its embedding of End(M) (restrict_to_end).  The Hom differential
+is `algebras.hom_differential`, the one End(M)'s [d, -] is built from.
+Two derived sign rules do real work here (both audited by the module
+validators):
 
 * the left action of b on Hom_{End M}(K, M) by pre-composition is
   b . phi = (-1)^{|b|(|phi| + 1)} phi o (b . -), which is precisely what
@@ -26,12 +27,13 @@ the one Hom differential.  Two derived sign rules do real work here
 
 from __future__ import annotations
 
-from .algebras import (CurvedModule, ModuleMap, TensorAlgebra,
-                       endomorphism_algebra, free_module, invert_morphism,
-                       module_action_map, pullback_module, tensor_algebras)
+from .algebras import (CurvedModule, ModuleMap, TensorAlgebra, _tensor_diff,
+                       endomorphism_algebra, free_module, hom_differential,
+                       invert_morphism, module_action_map, pullback_module,
+                       tensor_algebras)
 from .bar import (TruncatedTensorAlgebra, WordBasis, _generator_diff_table,
                   _sxi_sign, canonical_mc, hochschild_via_twist)
-from .graded import GradedMap, GradedVectorSpace
+from .graded import GradedVectorSpace
 from .linalg import ColumnEchelon, Matrix, eliminate
 from .sparse import vec, viadd, vleft, vneg, vright
 from .twisting import twist_algebra, twist_module
@@ -108,7 +110,7 @@ class HomOverEnd:
 
     def differential(self):
         """The Hom differential in the solved bases (see `induced`)."""
-        return self.induced(1, hom_differential(self.S, self.T))
+        return self.induced(1, hom_differential(self.S.diff, self.T.diff))
 
     def induced(self, shift, image):
         """The map of solved Hom spaces that sends the slot s of a degree-n
@@ -187,22 +189,6 @@ def restrict_to_end(X: CurvedModule, endm, embed) -> CurvedModule:
     return CurvedModule(endm, X.space, action, X.diff, check=False)
 
 
-def hom_differential(S, T):
-    """d phi = d_T o phi - (-1)^{|phi|} phi o d_S on the maps S -> T:
-    image(n, (a, b)) is the list [(slot, coeff)] of d applied to the
-    degree-n map sending basis a of S to basis b of T."""
-    hits = {}  # hits[a] = [(k, c)] for the terms c s_a of d s_k
-    for k in range(S.dim):
-        for a, c in S.diff.get(k, {}).items():
-            hits.setdefault(a, []).append((k, c))
-
-    def image(n, slot):
-        a, b = slot
-        return ([((a, b2), c) for b2, c in T.diff.get(b, {}).items()]
-                + [((k, b), c if n % 2 else -c) for k, c in hits.get(a, ())])
-    return image
-
-
 # ---------------------------------------------------------------------------
 # functor F
 
@@ -210,8 +196,7 @@ def hom_differential(S, T):
 def _check_coefficients(E, Mb):
     """Refuse an E whose coefficients are not End(Mb) acted on by A
     through Mb: E was then built for another coefficient module."""
-    endm = endomorphism_algebra(Mb.space, Mb.diff_map(), Mb.field,
-                                check=False)
+    endm = endomorphism_algebra(Mb.space, Mb.diff, Mb.field, check=False)
     C = E.coeff
     if C.basis != endm.basis:
         raise ValueError("E was built for another coefficient module: the "
@@ -261,7 +246,7 @@ def functor_F(N: CurvedModule, M: CurvedModule, W: int, E=None, check=True):
             for (t, s), col in Me.action.items() for j in range(Nb.dim)}
     action = words.concatenation(Ew, post)
 
-    d_hom = hom_differential(Nb, Mb)
+    d_hom = hom_differential(Nb.diff, Mb.diff)
     hom_d = {}
     for jb in hom_basis:
         col = vec(*d_hom(hdeg[jb], jb))
@@ -450,9 +435,10 @@ def functor_G(L: CurvedModule, M: CurvedModule, check=True) -> CurvedModule:
     # A (x) H over the re-based algebra, d(a (x) phi) = da (x) phi +
     # (-1)^{|a|} a (x) d_H phi, plus the twist operator (module docstring)
     V = GradedVectorSpace({n: range(len(bs)) for n, bs in H.basis.items()})
-    dV = GradedMap(field, V, V, 1, {
-        n: Matrix.from_columns(field, V.dim(n + 1), cols)
-        for n, cols in H.differential().items()})
+    vpos = V.flat[1]
+    dV = {vpos[n, hi]: {vpos[n + 1, hj]: c for hj, c in col.items()}
+          for n, cols in H.differential().items()
+          for hi, col in enumerate(cols) if col}
     AH = free_module(R, V, dV, check=False)
     diff = AH.diff
 
@@ -493,7 +479,7 @@ def morita_prime_F(N: CurvedModule, Mspace: GradedVectorSpace,
     B = N.algebra
     field = B.field
     if Ep is None:
-        endm = endomorphism_algebra(Mspace, None, field, check=check)
+        endm = endomorphism_algebra(Mspace, {}, field, check=check)
         Ep = tensor_algebras(B, endm, check=check)
     endm = Ep.right
     mbasis = Mspace.flat[0]
@@ -522,16 +508,8 @@ def morita_prime_F(N: CurvedModule, Mspace: GradedVectorSpace,
                         (pidx(j2, u), -c * cu if neg else c * cu)
                         for j2, c in img.items() for u, cu in tcol.items()))
 
-    diff = {}
-    for j in range(N.dim):
-        dn = N.diff.get(j)
-        if not dn:
-            continue
-        for a in range(len(mbasis)):
-            col = {pidx(j2, a): c for j2, c in dn.items()}
-            diff[pidx(j, a)] = col
-
-    FpN = CurvedModule(Ep, space, action, diff, check=check)
+    FpN = CurvedModule(Ep, space, action,
+                       _tensor_diff(N, {}, len(mbasis), pidx), check=check)
     FpN.pair_index = pidx
     FpN.mspace = Mspace
     return Ep, FpN

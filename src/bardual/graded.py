@@ -8,7 +8,11 @@ Conventions used everywhere in this package:
 * duals negate degrees, (V*)_n = (V_{-n})*, and keep the same basis labels;
 * the Koszul sign rule is written out by each construction that needs
   it (here dual_map / tensor_map / hom_complex) and audited by the eager
-  d² checks and the validators rather than trusted.
+  d² checks and the validators rather than trusted;
+* a map passes from one construction to another as a table {flat index:
+  sparse vector}, the format every structure stores; it becomes a
+  GradedMap of per-degree blocks only where per-degree linear algebra
+  starts, through `GradedMap.from_table`, the one conversion.
 """
 
 from __future__ import annotations
@@ -126,6 +130,30 @@ class GradedMap:
     @classmethod
     def zero(cls, field, source, target, degree=0):
         return cls(field, source, target, degree, {})
+
+    @classmethod
+    def from_table(cls, field, space, table, degree):
+        """The map on `space` given by `table` (flat index -> sparse vector
+        over the flat index), the format in which maps cross constructions.
+
+        This is the one place a table becomes blocks.  Each block keeps the
+        table's sparse columns, re-indexed to positions within the target
+        degree; no dense block is ever filled.
+        """
+        start, first = {}, 0      # the flat basis runs through degrees in order
+        for d in space.degrees:
+            start[d], first = first, first + space.dim(d)
+        blocks = {}
+        for d in space.degrees:
+            rows = space.dim(d + degree)
+            if not rows:
+                continue
+            t = start[d + degree]
+            cols = [{k - t: v for k, v in table.get(i, {}).items()}
+                    for i in range(start[d], start[d] + space.dim(d))]
+            if any(cols):
+                blocks[d] = Matrix.from_columns(field, rows, cols)
+        return cls(field, space, space, degree, blocks)
 
     @classmethod
     def identity(cls, field, V):

@@ -68,32 +68,30 @@ def random_dg_algebra(field, seed: int, max_dim: int = 4) -> CurvedAlgebra:
     return change_basis(A, mats, check=False)
 
 
-def random_square_zero(field, V: GradedVectorSpace, rng) -> GradedMap:
-    """A random degree-1 map with d^2 = 0 on V: a partial matching between
-    consecutive degrees, conjugated later by the caller if desired."""
-    blocks = {}
-    degrees = V.degrees
+def random_square_zero(field, V: GradedVectorSpace, rng) -> dict:
+    """A random degree-1 map with d^2 = 0 on V, as a table over V's flat
+    index: a partial matching between consecutive degrees, conjugated
+    later by the caller if desired."""
+    index = V.flat[1]
+    table = {}
     used_targets = {}
-    for n in degrees:
-        rows, cols = V.dim(n + 1), V.dim(n)
-        if rows == 0 or cols == 0:
+    for n in V.degrees:
+        rows, cols = V.labels(n + 1), V.labels(n)
+        if not rows or not cols:
             continue
-        columns = [{} for _ in range(cols)]
         taken = used_targets.setdefault(n + 1, set())
-        for c in range(cols):
+        for c in range(len(cols)):
             if rng.random() < 0.5:
-                free = [r for r in range(rows) if r not in taken]
+                free = [r for r in range(len(rows)) if r not in taken]
                 if not free:
                     break
                 r = free[rng.randrange(len(free))]
                 # a source that is itself a target must stay out of play
                 if c in used_targets.get(n, set()):
                     continue
-                columns[c] = {r: field.one}
+                table[index[n, cols[c]]] = {index[n + 1, rows[r]]: field.one}
                 taken.add(r)
-        if any(columns):
-            blocks[n] = Matrix.from_columns(field, rows, columns)
-    return GradedMap(field, V, V, 1, blocks)
+    return table
 
 
 def random_space(rng, max_dim=3, lo=-1, hi=1) -> GradedVectorSpace:
@@ -149,22 +147,18 @@ def random_acyclic_complex(field, seed: int, max_dim=3) -> Complex:
         if labels:
             comp[n] = labels
     space = GradedVectorSpace(comp)
-    blocks = {}
-    for n in space.degrees:
-        rows = space.dim(n + 1)
-        cols = space.dim(n)
-        if rows == 0 or cols == 0:
-            continue
-        tgt_s = V.dim(n + 2)
-        # the "s" columns: -d x, and x itself in the "c" block of degree n+1
-        columns = [{**{r: -v for r, v in col.items()}, tgt_s + c: field.one}
-                   for c, col in enumerate(d.block(n + 1).columns())]
-        # the "c" columns: d y, in the "c" block
-        columns += [{tgt_s + r: v for r, v in col.items()}
-                    for col in d.block(n).columns()]
-        if any(columns):
-            blocks[n] = Matrix.from_columns(field, rows, columns)
-    return Complex(field, space, GradedMap(field, space, space, 1, blocks))
+    index = space.flat[1]
+    # basis element i of V_n: s[i] in degree n - 1, c[i] in degree n
+    s = [index[n - 1, ("s", l)] for n, l in V.flat[0]]
+    c = [index[n, ("c", l)] for n, l in V.flat[0]]
+    table = {}
+    for i in range(len(s)):
+        di = d.get(i, {})
+        table[s[i]] = vec(*((s[k], -v) for k, v in di.items()),
+                          (c[i], field.one))
+        if di:
+            table[c[i]] = {c[k]: v for k, v in di.items()}
+    return Complex(field, space, GradedMap.from_table(field, space, table, 1))
 
 
 def random_ordinary_module(A, seed: int, max_dim: int = 4):

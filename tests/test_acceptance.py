@@ -168,7 +168,7 @@ def test_c06_covariant_round_trips():
         eps = {}
         for bi, B in enumerate(bases):
             for mi, Mspace in enumerate(mspaces):
-                endm = endomorphism_algebra(Mspace, None, QQ, check=False)
+                endm = endomorphism_algebra(Mspace, {}, QQ, check=False)
                 eps[(bi, mi)] = tensor_algebras(B, endm, check=False)
         n_done = l_done = 0
         seed = 0

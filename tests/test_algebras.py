@@ -15,8 +15,7 @@ from bardual.algebras import (CurvedAlgebra, CurvedModule, CurvedMorphism,
 from bardual.bar import hochschild_direct
 from bardual.catalog import builtin_algebra, builtin_module, BUILTIN_ALGEBRAS
 from bardual.fields import GF, QQ
-from bardual.graded import (GradedMap, GradedVectorSpace, cohomology,
-                            is_quasi_iso)
+from bardual.graded import GradedVectorSpace, cohomology, is_quasi_iso
 from bardual.sampling import random_dg_algebra
 from bardual.sparse import viadd
 from bardual.twisting import twist_algebra
@@ -276,21 +275,21 @@ def test_acyclic_two_dim_structure():
 
 def test_endomorphism_algebra_of_point():
     V = GradedVectorSpace({0: ["m"]})
-    E = endomorphism_algebra(V, None, QQ)
+    E = endomorphism_algebra(V, {}, QQ)
     assert E.dim == 1 and validate(E).ok
 
 
 def test_endomorphism_algebra_dims_and_dg():
     V = GradedVectorSpace({0: ["a"], 1: ["b"]})
-    E = endomorphism_algebra(V, GradedMap.zero(QQ, V, V, 1), QQ)
+    E = endomorphism_algebra(V, {}, QQ)
     dims = {n: E.space.dim(n) for n in E.space.degrees}
     assert dims == {-1: 1, 0: 2, 1: 1}
     assert not E.diff and validate(E).ok
 
 
 def test_endomorphism_differential_squares_to_zero():
-    M = acyclic_two_dim(QQ).as_complex()
-    E = endomorphism_algebra(M.space, M.d, QQ)
+    M = acyclic_two_dim(QQ)
+    E = endomorphism_algebra(M.space, M.diff, QQ)
     assert validate(E).ok and not E.curvature
     for i in range(E.dim):
         assert E.d(E.diff.get(i, {})) == {}
@@ -383,7 +382,7 @@ def test_dual_regular_module_validates(field):
 def test_free_module_validates():
     A = builtin_algebra("acyclic2")
     V = GradedVectorSpace({0: ["v0"], 1: ["v1"]})
-    N = free_module(A, V, None)
+    N = free_module(A, V, {})
     assert N.validate().ok
     assert N.dim == A.dim * 2
 

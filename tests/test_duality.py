@@ -174,9 +174,9 @@ def test_prime_counit_on_free_modules():
     B = reduced_bar(builtin_algebra("dual_numbers"), 2)
     M2 = GradedVectorSpace({0: ["m1", "m2"]})
     from bardual.algebras import endomorphism_algebra, tensor_algebras
-    endm = endomorphism_algebra(M2, None, QQ)
+    endm = endomorphism_algebra(M2, {}, QQ)
     Ep = tensor_algebras(B, endm)
-    L = free_module(Ep, GradedVectorSpace({0: ["v"]}), None)
+    L = free_module(Ep, GradedVectorSpace({0: ["v"]}), {})
     GpL = morita_prime_G(L, M2)
     _, FpGpL = morita_prime_F(GpL, M2, Ep=Ep)
     assert prime_counit_iso(L, M2, GpL, FpGpL).is_iso()
@@ -188,12 +188,12 @@ def test_hom_dual_pairing_is_perfect():
     from bardual.algebras import endomorphism_algebra, tensor_algebras
     from bardual.bar import trivial_algebra
     M2 = GradedVectorSpace({0: ["m1", "m2"]})
-    endm = endomorphism_algebra(M2, None, QQ)
+    endm = endomorphism_algebra(M2, {}, QQ)
     triv = trivial_algebra(QQ)
     Ep = tensor_algebras(triv, endm)
     # K = End(M) itself as an Ep-module: Hom(M, K) and Hom(K, M) are both
     # two-dimensional and the pairing between them is perfect
-    K = free_module(Ep, GradedVectorSpace({0: ["v"]}), None)
+    K = free_module(Ep, GradedVectorSpace({0: ["v"]}), {})
     Mmod = end_module(endm, M2, {})
     Kend = restrict_to_end(K, endm, end_embed_tensor(Ep))
     to_h = HomOverEnd(Mmod, Kend)

@@ -14,6 +14,11 @@ from bardual.sampling import random_acyclic_complex, random_space, \
     random_square_zero
 
 
+def _random_complex(field, V, rng):
+    d = random_square_zero(field, V, rng)
+    return Complex(field, V, GradedMap.from_table(field, V, d, 1))
+
+
 def space(dims):
     return GradedVectorSpace(
         {n: [f"e{n}_{i}" for i in range(d)] for n, d in dims.items()})
@@ -107,8 +112,8 @@ def test_kunneth_on_seeded_complexes():
         rng = random.Random(seed)
         V = random_space(rng, max_dim=3)
         W = random_space(rng, max_dim=3)
-        C = Complex(QQ, V, random_square_zero(QQ, V, rng))
-        D = Complex(QQ, W, random_square_zero(QQ, W, rng))
+        C = _random_complex(QQ, V, rng)
+        D = _random_complex(QQ, W, rng)
         T = tensor_complex(C, D)
         hc = {n: c.betti for n, c in cohomology(C).items()}
         hd = {n: c.betti for n, c in cohomology(D).items()}
@@ -126,7 +131,7 @@ def test_dual_is_exact_involution_on_betti():
         import random
         rng = random.Random(100 + seed)
         V = random_space(rng, max_dim=4)
-        C = Complex(QQ, V, random_square_zero(QQ, V, rng))
+        C = _random_complex(QQ, V, rng)
         D = dual_complex(C)
         hc = cohomology(C)
         hd = cohomology(D)
@@ -153,7 +158,7 @@ def test_truncate_preserves_window_cohomology():
     import random
     rng = random.Random(7)
     V = random_space(rng, max_dim=4, lo=-2, hi=2)
-    C = Complex(QQ, V, random_square_zero(QQ, V, rng))
+    C = _random_complex(QQ, V, rng)
     T = truncate_complex(C, -1, 1)
     hc = cohomology(C)
     ht = cohomology(T)
@@ -224,8 +229,8 @@ def test_hom_complex_betti_numbers(seed, field):
     rng = random.Random(seed)
     V = random_space(rng, max_dim=3)
     W = random_space(rng, max_dim=3, lo=-1, hi=2)
-    C = Complex(field, V, random_square_zero(field, V, rng))
-    D = Complex(field, W, random_square_zero(field, W, rng))
+    C = _random_complex(field, V, rng)
+    D = _random_complex(field, W, rng)
     # building the complex runs the eager d^2 check on the Koszul sign
     H = hom_complex(C, D)
     bC = {n: h.betti for n, h in cohomology(C).items()}

@@ -116,7 +116,7 @@ def test_module_twist_vs_algebra_twist_differ_by_right_multiplication():
 def test_twisted_module_validates_over_twisted_algebra():
     A, xi = curved_example()
     V = GradedVectorSpace({0: ["v"]})
-    N = free_module(A, V)
+    N = free_module(A, V, {})
     Nx = twist_module(N, xi)
     assert Nx.validate().ok
     assert Nx.algebra.curvature  # curved now
