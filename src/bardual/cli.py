@@ -96,9 +96,15 @@ def parse_algebra_file(path):
     curvature = []
     modules = []  # (name, mbasis {label: degree}, acts, mdiffs)
     current_module = None
+    seen = set()  # the directives, with their labels, that may occur once
 
     def err(line_no, col, msg):
         raise ParseError(path, line_no, col, msg)
+
+    def once(line_no, col, *words, scope=None):
+        if (scope, *words) in seen:
+            err(line_no, col, f"repeated '{' '.join(words)}' line")
+        seen.add((scope, *words))
 
     def degree(line_no, line, deg_s):
         try:
@@ -125,6 +131,7 @@ def parse_algebra_file(path):
         toks = line.split()
         head = toks[0]
         if head == "field":
+            once(line_no, 0, head)
             if len(toks) == 2 and toks[1] == "Q":
                 field = QQ
             elif len(toks) == 3 and toks[1] == "F":
@@ -145,6 +152,7 @@ def parse_algebra_file(path):
             degrees[lbl] = deg
             components.setdefault(deg, []).append(lbl)
         elif head == "unit":
+            once(line_no, 0, head)
             rest = line[len("unit"):].strip()
             if "*" in rest or "+" in rest:
                 unit = _parse_terms(field, rest, path, line_no, 5)
@@ -161,6 +169,7 @@ def parse_algebra_file(path):
                 err(line_no, 4, "expected two labels before '='")
             terms = _parse_terms(field, rhs, path, line_no, len(lhs) + 1)
             known(line_no, parts[1:] + [l for _, l in terms])
+            once(line_no, 4, *parts)
             mult_table[(parts[1], parts[2])] = terms
         elif head == "diff":
             lhs, rhs = (line.split("=", 1) + [""])[:2]
@@ -169,15 +178,18 @@ def parse_algebra_file(path):
                 err(line_no, 5, "expected 'diff <a> = ...'")
             terms = _parse_terms(field, rhs, path, line_no, len(lhs) + 1)
             known(line_no, parts[1:] + [l for _, l in terms])
+            once(line_no, 5, *parts)
             diff_table[parts[1]] = terms
         elif head == "curvature":
             _, rhs = split_eq(line_no, line, 10, "curvature = ...")
+            once(line_no, 0, head)
             curvature = _parse_terms(field, rhs, path, line_no,
                                      len("curvature = "))
             known(line_no, [l for _, l in curvature])
         elif head == "module":
             if len(toks) != 2:
                 err(line_no, 7, "expected 'module <name>'")
+            once(line_no, 7, *toks)
             current_module = (toks[1], {}, [], [])
             modules.append(current_module)
         elif head in ("mbasis", "act", "mdiff"):
@@ -198,6 +210,7 @@ def parse_algebra_file(path):
                 known(line_no, [parts[1]])
                 known(line_no, [parts[2]] + [l for _, l in terms],
                       current_module[1])
+                once(line_no, 4, *parts, scope=current_module[0])
                 current_module[2].append((parts[1], parts[2], terms))
             else:
                 lhs, rhs = split_eq(line_no, line, 6, "mdiff <m> = ...")
@@ -207,6 +220,7 @@ def parse_algebra_file(path):
                 terms = _parse_terms(field, rhs, path, line_no, len(lhs) + 1)
                 known(line_no, [parts[1]] + [l for _, l in terms],
                       current_module[1])
+                once(line_no, 6, *parts, scope=current_module[0])
                 current_module[3].append((parts[1], terms))
         else:
             err(line_no, 0, f"unknown directive {head!r}")
@@ -547,7 +561,10 @@ def run_scenario(name: str, args) -> ScenarioReport:
 
 def _window(text):
     a, b = text.split(":")
-    return int(a), int(b)
+    a, b = int(a), int(b)
+    if a > b:
+        raise argparse.ArgumentTypeError(f"empty window {text}: need a <= b")
+    return a, b
 
 
 def _truncation(text):

@@ -316,8 +316,19 @@ MODULE_HEAD = "field Q\nbasis 1 0\nunit 1\n\nmodule V\nmbasis m 0\n"
     (MODULE_HEAD + "mdiff m\n", 7),
     ("field Q\nbasis 1 0\nunit 1\ncurvature 1\n", 4),
     (MODULE_HEAD + "mbasis m 1\n", 7),
+    ("field Q\nbasis 1 0\nfield F 7\nunit 1\n", 3),
+    ("field Q\nbasis 1 0\nunit 1\nunit 1\n", 4),
+    ("field Q\nbasis 1 0\nunit 1\ncurvature = 0\ncurvature = 0\n", 5),
+    ("field Q\nbasis 1 0\nbasis x 0\nunit 1\nmul x x = 1*x\nmul x x = 0\n",
+     6),
+    (ACYCLIC2 + "diff x = 0\n", 7),
+    (MODULE_HEAD + "module V\n", 7),
+    (MODULE_HEAD + "act 1 m = 1*m\nact 1 m = 0\n", 8),
+    (MODULE_HEAD + "mdiff m = 0\nmdiff m = 0\n", 8),
 ], ids=["mbasis-degree", "act-without-eq", "mdiff-without-eq",
-        "curvature-without-eq", "mbasis-twice"])
+        "curvature-without-eq", "mbasis-twice", "field-twice", "unit-twice",
+        "curvature-twice", "mul-twice", "diff-twice", "module-twice",
+        "act-twice", "mdiff-twice"])
 def test_malformed_file_is_a_parse_error_with_exit_2(text, line, tmp_path,
                                                      capsys):
     p = tmp_path / "bad.alg"
@@ -328,6 +339,25 @@ def test_malformed_file_is_a_parse_error_with_exit_2(text, line, tmp_path,
     assert main(["verify", "--algebra", str(p)]) == 2
     out = capsys.readouterr().out
     assert out.startswith(f"error: {p}:{line}:") and out.count("\n") == 1
+
+
+def test_same_lines_in_two_modules_parse(tmp_path):
+    p = tmp_path / "two.alg"
+    p.write_text(DUAL_NUMBERS + "\nmodule k2\nmbasis m 0\nact x m = 0\n")
+    _, modules = parse_algebra_file(str(p))
+    assert sorted(modules) == ["k", "k2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["hochschild", "--algebra", "mat2", "--module", "A", "--truncation", "3",
+     "--window", "2:0"],
+    ["ext", "--algebra", "dual_numbers", "--module", "k", "--window", "3:-1"],
+], ids=["hochschild", "ext"])
+def test_reversed_window_is_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "need a <= b" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
