@@ -2,7 +2,8 @@
 """Print, for a few (algebra, module) pairs, the cohomology of the reduced
 Hochschild algebra next to the Ext groups computed by the independent
 projective-resolution oracle.  The two columns agreeing is the desk-scale
-form of Koszul duality this package certifies.
+form of Koszul duality this package certifies.  Exits 1 if any pair
+disagrees.
 
 Usage: python3 scripts/koszul_table.py [W]
 """
@@ -26,6 +27,7 @@ CASES = [
 def main():
     W = int(sys.argv[1]) if len(sys.argv) > 1 else 5
     print(f"truncation W = {W}, stable window n <= {W - 2}\n")
+    mismatches = 0
     for an, mn in CASES:
         t0 = time.monotonic()
         A = builtin_algebra(an)
@@ -37,11 +39,13 @@ def main():
         ext = ext_oracle(Ao, Mo, Mo, W - 2)
         hs = [coh[n].betti for n in range(W - 1)]
         ok = "ok" if hs == ext else "MISMATCH"
+        mismatches += hs != ext
         dt = time.monotonic() - t0
         print(f"{an} with M = {mn}   ({dt:.2f}s)  [{ok}]")
         print(f"  dim H^n(E) : {hs}")
         print(f"  dim Ext^n  : {ext}\n")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
