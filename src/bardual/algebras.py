@@ -971,27 +971,32 @@ def endomorphism_algebra(space: GradedVectorSpace, diff: dict, field,
                 for a in space.labels(p) for b in space.labels(q))
     espace = GradedVectorSpace(comp)
     mbasis, mindex = space.flat
-    # slot[a, b]: End index of the unit sending basis a of M to basis b
-    slot = {(mindex[s], mindex[t]): i
-            for i, (_, (s, t)) in enumerate(espace.flat[0])}
-    into = {}  # into[b] = [(a, slot[a, b])] in End order
-    for (a, b), j in slot.items():
-        into.setdefault(b, []).append((a, j))
+    n = len(mbasis)
+    # End basis element i is the unit pairs[i] = (a, b) sending basis a of M
+    # to basis b, and slot[a][b] = i
+    pairs = [(mindex[s], mindex[t]) for _, (s, t) in espace.flat[0]]
+    slot = [[0] * n for _ in range(n)]
+    into = [[] for _ in range(n)]  # into[b] = [(a, slot[a][b])] in End order
+    for i, (a, b) in enumerate(pairs):
+        slot[a][b] = i
+        into[b].append((a, i))
 
     one = field.one
     # (b -> c) o (a -> b) = (a -> c)
-    mult = {(i, j): {slot[a, c]: one}
-            for (b, c), i in slot.items() for a, j in into[b]}
-    unit = {slot[a, a]: one for a in range(len(mbasis))}
+    mult = {(i, j): {slot[a][c]: one}
+            for i, (b, c) in enumerate(pairs) for a, j in into[b]}
+    unit = {slot[a][a]: one for a in range(n)}
     image = hom_differential(diff, diff)
+    hit = {a for col in diff.values() for a in col}
     ediff = {}
-    for (a, b), i in slot.items():
-        col = vec(*((slot[s], c) for s, c in
-                    image(mbasis[b][0] - mbasis[a][0], (a, b))))
-        if col:
-            ediff[i] = col
-    curv = {slot[a, c]: v for a in range(len(mbasis))
-            for c, v in vapply(diff, diff.get(a, {})).items()}
+    for i, (a, b) in enumerate(pairs):
+        if b in diff or a in hit:   # otherwise [d, a -> b] = 0
+            col = vec(*((slot[s][t], c) for (s, t), c in
+                        image(mbasis[b][0] - mbasis[a][0], (a, b))))
+            if col:
+                ediff[i] = col
+    curv = {slot[a][c]: v for a in sorted(diff)
+            for c, v in vapply(diff, diff[a]).items()}
     return CurvedAlgebra(field, espace, unit, mult, ediff, curv, check=check)
 
 

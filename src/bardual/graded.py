@@ -133,13 +133,10 @@ class GradedMap:
 
     @classmethod
     def from_table(cls, field, space, table, degree):
-        """The map on `space` given by `table` (flat index -> sparse vector
-        over the flat index), the format in which maps cross constructions.
-
-        This is the one place a table becomes blocks.  Each block keeps the
-        table's sparse columns, re-indexed to positions within the target
-        degree; no dense block is ever filled.
-        """
+        """The map on `space` of `table` (flat index -> sparse vector over
+        the flat index), the one place a table becomes blocks.  Each block
+        keeps the table's sparse columns, re-indexed to positions within
+        the target degree; no dense block is ever filled."""
         start, first = {}, 0      # the flat basis runs through degrees in order
         for d in space.degrees:
             start[d], first = first, first + space.dim(d)
