@@ -14,6 +14,9 @@ The algebra file grammar is line oriented ('#' starts a comment):
     act <a> <m> = c1*<m1> + ...
     mdiff <m> = c1*<m1> + ...
 
+`field`, `unit`, `curvature`, each `mul a b`, `diff a` and `module m`,
+and within a module each `act a m` and `mdiff m` occur at most once.
+
 Machine reports are flat "key = value" lines, deterministic byte-for-byte
 for identical inputs (timings go to stdout only, never into the report).
 Exit status is 1 when any check fails or none ran, and 2 (with a one-line
