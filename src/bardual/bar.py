@@ -40,7 +40,9 @@ tables of d and of the product, and its end terms stay its own code,
 because the `direct-equals-twist` checks certify them against the
 twisted bar, and a shared kernel would certify itself.  Its cochain
 complex, `hochschild_cochains`, is all that `koszul-check` builds; the
-eager cup product is added on top only by `hochschild_direct`.
+eager cup product is added on top only by `hochschild_direct`.  The
+cochains compute each coefficient of their differential once, in both
+signs, before the word loop, which only looks up indices and adds.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .algebras import (CurvedAlgebra, CurvedModule, CurvedMorphism,
                        module_action_map, pullback_module)
 from .graded import Complex, GradedMap, GradedVectorSpace
 from .linalg import Matrix
-from .sparse import viadd
+from .sparse import viadd, vleft, vright
 from .twisting import twist_algebra, twist_module
 
 
@@ -437,13 +439,15 @@ def hochschild_cochains(A: CurvedAlgebra, M: CurvedModule, W: int,
     The differential is the sum of (1) internal duals on each letter,
     (2) the End(M) differential, (3) contraction duals splitting a letter,
     and the two end terms given by the commutator with the action map.
+    Every coefficient of these terms is computed once, in both signs,
+    before the word loop, which only picks a sign by parity, looks up
+    indices and adds.
     """
     if W < 0:
         raise ValueError("truncation length must be >= 0")
     if M.dim == 0:
         raise ValueError("coefficient module must be non-zero")
     field = A.field
-    one = field.one
     aug = fake_augmentation(A)
     R = aug.algebra
     Mb = aug.transport_module(M, check=check)
@@ -456,79 +460,88 @@ def hochschild_cochains(A: CurvedAlgebra, M: CurvedModule, W: int,
     gdeg = [d for (_, d) in gens]
     qdeg = [1 - d for d in gdeg]
     wb = WordBasis(gdeg, W, range(endm.dim), endm.degree)
-    words, wdeg, idx = wb.words, wb.wdeg, wb.idx
+    labels = range(endm.dim)
 
-    # positional differential; both tables are keyed by the letter being
-    # rewritten, i.e. they encode the duals of d and of multiplication
-    nu = {}      # letter i -> {letter j: coeff of c_i in d(c_j)}
+    # -d on a letter: the duals of d (nu) and of the projected product
+    # (contraction, carrying -(-1)^{q of the first letter}), as
+    # letter -> [(replacement, (after an even prefix, after an odd one))]
+    rewrite = [[] for _ in range(G)]
     for pj, j in enumerate(aug.plus):
-        col = R.diff.get(j, {})
-        for i, c in col.items():
+        for i, c in R.diff.get(j, {}).items():
             if i != aug.unit_idx:
-                nu.setdefault(gpos[i], {})[pj] = c
-    contract = {}  # letter -> [(pair, coeff)] from the projected product
-    for pj in range(G):
-        for pk in range(G):
-            prod = R.mult.get((aug.plus[pj], aug.plus[pk]), {})
-            for i, c in prod.items():
+                rewrite[gpos[i]].append(((pj,), (-c, c)))
+    for pj, j in enumerate(aug.plus):
+        for pk, k in enumerate(aug.plus):
+            for i, c in R.mult.get((j, k), {}).items():
                 if i != aug.unit_idx:
-                    contract.setdefault(gpos[i], []).append(((pj, pk), c))
+                    c = c if qdeg[pj] % 2 else -c
+                    rewrite[gpos[i]].append(((pj, pk), (c, -c)))
+    # the End(M) differential, signed (-1)^{|w|}: by the parity of |w|
+    dend = ([], [])
+    for t in labels:
+        for k, c in endm.diff.get(t, {}).items():
+            dend[0].append((t, k, c))
+            dend[1].append((t, k, -c))
+    # end terms [xi, -] for xi = sum s(q) g (x) delta(c), on a letter:
+    # left (-1)^{q |w|} s.(delta(c) o T), by the parity of q|w|, and right
+    # -(-1)^{|w| + |T| + |T|(1-q)} s.(T o delta(c)), by the parity of |w|
+    ends = []
+    for pos, (i, _) in enumerate(gens):
+        img = delta.get(i)
+        if img:
+            s, q = _sxi_sign(field, qdeg[pos]), qdeg[pos]
+            left, right = ([], []), ([], [])
+            for t in labels:
+                td = endm.degree[t]
+                for k, c in vleft(endm.mult, img, t).items():
+                    left[0].append((t, k, s * c))
+                    left[1].append((t, k, -s * c))
+                for k, c in vright(endm.mult, t, img).items():
+                    c = s * c if (td + td * (1 - q)) % 2 else -s * c
+                    right[0].append((t, k, c))
+                    right[1].append((t, k, -c))
+            ends.append((pos, q, left, right))
 
-    sxi = [_sxi_sign(field, q) for q in qdeg]
+    rows = {}       # word -> [its index with each End(M) label]
+
+    def at(word):
+        r = rows.get(word)
+        if r is None:
+            r = rows[word] = [wb.idx(word, t) for t in labels]
+        return r
+
     diff = {}
-    for w in words:
-        letter_terms = []
-        pref = 0
+    for w in wb.words:
+        wd, room = wb.wdeg[w], W + 1 - len(w)
+        terms, pref = [], 0       # (label, row, coefficient)
         for pos, g in enumerate(w):
-            psgn = -one if pref % 2 else one
-            for i2, c in nu.get(g, {}).items():
-                nw = w[:pos] + (i2,) + w[pos + 1:]
-                letter_terms.append((nw, -psgn * c))
-            for (pair, c) in contract.get(g, []):
-                nw = w[:pos] + pair + w[pos + 1:]
-                if len(nw) <= W:
-                    # d2 carries -(-1)^{q of first letter}
-                    s2 = (-one if (1 - gdeg[pair[0]]) % 2 else one)
-                    letter_terms.append((nw, -psgn * s2 * c))
+            for repl, cs in rewrite[g]:
+                if len(repl) <= room:
+                    r, c = at(w[:pos] + repl + w[pos + 1:]), cs[pref % 2]
+                    terms += [(t, r[t], c) for t in labels]
             pref += gdeg[g]
-        wsgn = -one if wdeg[w] % 2 else one
-        for ci in range(endm.dim):
-            col = {}
-            for nw, cc in letter_terms:
-                viadd(col, {idx(nw, ci): cc})
-            dc = endm.diff.get(ci)
-            if dc:
-                for k, cc in dc.items():
-                    viadd(col, {idx(w, k): wsgn * cc})
-            # end terms: [xi, -] for xi = sum s(q) g (x) delta(c)
-            tdeg = endm.degree[ci]
-            xdeg = wdeg[w] + tdeg
-            for pos in range(G):
-                img = delta.get(aug.plus[pos], {})
-                if not img or len(w) + 1 > W:
-                    continue
-                s = sxi[pos]
-                # left: (-1)^{q |w|} g.w (x) delta(c) o T
-                lsgn = s * (-one if (qdeg[pos] * wdeg[w]) % 2 else one)
-                for k, c in img.items():
-                    prod = endm.mult.get((k, ci))
-                    if prod:
-                        for k2, c2 in prod.items():
-                            viadd(col, {idx((pos,) + w, k2):
-                                        lsgn * c * c2})
-                # right: -(-1)^{|x|} (-1)^{|T|(1-q)} w.g (x) T o delta(c)
-                r = s
-                if xdeg % 2:
-                    r = -r
-                if (tdeg * (1 - qdeg[pos])) % 2:
-                    r = -r
-                for k, c in img.items():
-                    prod = endm.mult.get((ci, k))
-                    if prod:
-                        for k2, c2 in prod.items():
-                            viadd(col, {idx(w + (pos,), k2): -r * c * c2})
+        here = at(w)
+        terms += [(t, here[k], c) for t, k, c in dend[wd % 2]]
+        if room > 1:
+            for pos, q, left, right in ends:
+                lrow, rrow = at((pos,) + w), at(w + (pos,))
+                terms += [(t, lrow[k], c) for t, k, c in left[q * wd % 2]]
+                terms += [(t, rrow[k], c) for t, k, c in right[wd % 2]]
+        cols = [{} for _ in labels]
+        for t, i, c in terms:
+            col = cols[t]
+            v = col.get(i)
+            if v is None:
+                col[i] = c
+            else:
+                v = v + c
+                if v:
+                    col[i] = v
+                else:
+                    del col[i]
+        for t, col in enumerate(cols):
             if col:
-                diff[idx(w, ci)] = col
+                diff[here[t]] = col
 
     return HochschildCochains(aug, endm, delta, gens, wb, diff)
 

@@ -383,6 +383,16 @@ def _pick_module(A, modules, alg_name, wanted):
                      f"{', '.join(sorted(modules) + ['A', 'Adual'])}")
 
 
+def _coefficient_module(A, modules, alg_name, wanted):
+    """The module M whose End(M) the Hochschild scenarios take as
+    coefficients; the zero module has no such algebra and is refused."""
+    M, mname = _pick_module(A, modules, alg_name, wanted)
+    if M.dim == 0:
+        raise InputError(f"module {mname!r} is zero: End(M) coefficients "
+                         "need a non-zero module")
+    return M, mname
+
+
 def _report_rows(rep: ScenarioReport, args):
     print("\n".join(rep.human_lines()))
     if args.report:
@@ -418,7 +428,7 @@ def scenario_hochschild(args) -> ScenarioReport:
     rep = ScenarioReport("hochschild")
     t0 = time.monotonic()
     A, modules, name, digest = _load(args)
-    M, mname = _pick_module(A, modules, name, args.module)
+    M, mname = _coefficient_module(A, modules, name, args.module)
     W = args.truncation
     rep.inputs.update(algebra=name, digest=digest, module=mname,
                       truncation=W, field=A.field.name)
@@ -444,7 +454,7 @@ def scenario_koszul_check(args) -> ScenarioReport:
     t0 = time.monotonic()
     A, modules, name, digest = _load(args)
     Ao = OrdinaryAlgebra(A)     # the Ext oracle's input, refused up front
-    M, mname = _pick_module(A, modules, name, args.module)
+    M, mname = _coefficient_module(A, modules, name, args.module)
     W = args.truncation
     rep.inputs.update(algebra=name, digest=digest, module=mname,
                       truncation=W, field=A.field.name)

@@ -152,9 +152,9 @@ class HomOverEnd:
 
 
 def end_embed_bar(E0: TruncatedTensorAlgebra):
-    """End(M) basis -> empty-word elements of a bar algebra with End coeffs."""
-    return [{E0.word_coeff_index((), t): E0.field.one}
-            for t in range(E0.coeff.dim)]
+    """End(M) basis -> indices of the empty-word basis elements of a bar
+    algebra with End coeffs."""
+    return [E0.word_coeff_index((), t) for t in range(E0.coeff.dim)]
 
 
 def end_embed_tensor(Ep: TensorAlgebra):
@@ -176,14 +176,17 @@ def end_module(endm, space: GradedVectorSpace, diff) -> CurvedModule:
 
 def restrict_to_end(X: CurvedModule, endm, embed) -> CurvedModule:
     """X as a module over End(M), acting through `embed` (End basis index
-    -> element of X's algebra, from end_embed_bar or end_embed_tensor).
+    -> a basis index of X's algebra, from end_embed_bar, or an element of
+    it, from end_embed_tensor).  A basis element's action is read by its
+    index, so no coefficient is multiplied by one.
 
     Not validated: X's differential squares to the curvature of X's own
     algebra, which need not come from End(M)."""
     action = {}
     for t, e in enumerate(embed):
         for j in range(X.dim):
-            img = vleft(X.action, e, j)
+            img = (X.action.get((e, j)) if isinstance(e, int)
+                   else vleft(X.action, e, j))
             if img:
                 action[(t, j)] = img
     return CurvedModule(endm, X.space, action, X.diff, check=False)

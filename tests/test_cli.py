@@ -372,3 +372,24 @@ def test_trace_form_characteristic_limit_exits_2(argv, capsys):
     out = capsys.readouterr().out
     assert out.startswith("error: ") and out.count("\n") == 1, out
     assert "trace-form radical" in out and "extend the field" not in out
+
+
+ZERO_MODULE = "field Q\nbasis 1 0\nunit 1\nmul 1 1 = 1*1\nmodule m\n"
+
+
+@pytest.mark.parametrize("scenario,code", [
+    ("hochschild", 2), ("koszul-check", 2),
+    ("verify", 0), ("morita", 0), ("simples", 0), ("ext", 0),
+])
+def test_zero_file_module(scenario, code, tmp_path, capsys):
+    # End(0) is no coefficient algebra: the two Hochschild scenarios refuse
+    # the module as input, the others accept it
+    p = tmp_path / "zero.alg"
+    p.write_text(ZERO_MODULE)
+    assert main([scenario, "--algebra", str(p)]) == code
+    out = capsys.readouterr().out
+    if code:
+        assert out == "error: module 'm' is zero: End(M) coefficients " \
+                      "need a non-zero module\n", out
+    else:
+        assert "result: PASS" in out

@@ -50,6 +50,19 @@ def test_cochains_are_the_complex_of_hochschild_direct(fname):
             assert C.space == D.space and C.d.blocks == D.d.blocks, case
 
 
+@pytest.mark.parametrize("an,mn,W", [("upper_tri_2", "Adual", 7),
+                                      ("dual_numbers", "k", 6)])
+def test_cochains_equal_the_twist_on_the_koszul_f7_inputs(an, mn, W):
+    # the words of length 5..7 that koszul-check reads over F_7; the
+    # test above stops at W = 4
+    A = builtin_algebra(an, FIELDS["F7"])
+    M = builtin_module(A, an, mn)
+    H = hochschild_cochains(A, M, W, check=False)
+    T = hochschild_via_twist(A, W, M=M, check=False)
+    assert H.word_basis.basis == T.basis
+    assert H.diff == T.diff
+
+
 def _koszul_values(argv):
     out = io.StringIO()
     with redirect_stdout(out):
