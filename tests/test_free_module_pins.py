@@ -14,7 +14,11 @@ Two more families are pinned the same way, over Q and F_7:
 `algebras.endomorphism_algebra` on the same spaces with the same dV,
 plus one degree-1 map with d o d != 0 (so the curvature is pinned), by
 degrees, unit, product, differential and curvature; and the blocks of
-`sampling.random_acyclic_complex` for seeds 0-5.
+`sampling.random_acyclic_complex` for seeds 0-5; and the blocks of
+`graded.tensor_complex`, `hom_complex` and `dual_complex` on seeded
+complexes whose differentials carry constants other than 1, so that a
+Koszul sign or a transposition that keeps the Betti numbers still moves
+a digest.
 
     python tests/test_free_module_pins.py   # print the digests as JSON
 """
@@ -28,8 +32,10 @@ import pytest
 
 from bardual.algebras import endomorphism_algebra, free_module
 from bardual.catalog import BUILTIN_ALGEBRAS, builtin_algebra
-from bardual.graded import GradedVectorSpace
-from bardual.sampling import random_acyclic_complex, random_square_zero
+from bardual.graded import (Complex, GradedMap, GradedVectorSpace,
+                            dual_complex, hom_complex, tensor_complex)
+from bardual.sampling import (random_acyclic_complex, random_space,
+                              random_square_zero)
 from test_tables import FIELDS
 
 EXPECTED = pathlib.Path(__file__).resolve().parent / \
@@ -41,6 +47,7 @@ SPACES = {
 # on V2: p -> q + r, q -> s, r -> 2t, so d o d sends p to s + 2t
 CURVED = {0: {1: 1, 2: 1}, 1: {3: 1}, 2: {4: 2}}
 CONE_SEEDS = range(6)
+COMPLEX_SEEDS = range(20)
 
 
 def _vec(v):
@@ -105,6 +112,30 @@ def cone_digests(field_name):
             for seed in CONE_SEEDS}
 
 
+def _seeded_complex(field, rng):
+    """A random complex on up to 4 basis vectors in degrees -1..2, each
+    matched pair carrying a constant drawn from +-1, +-2, 3."""
+    V = random_space(rng, max_dim=4, lo=-1, hi=2)
+    d = {i: {k: c * field(rng.choice((1, -1, 2, -2, 3)))
+             for k, c in col.items()}
+         for i, col in random_square_zero(field, V, rng).items()}
+    return Complex(field, V, GradedMap.from_table(field, V, d, 1))
+
+
+def complex_digests(field_name):
+    field = FIELDS[field_name]
+    out = {}
+    for seed in COMPLEX_SEEDS:
+        rng = random.Random(seed)
+        C, D = _seeded_complex(field, rng), _seeded_complex(field, rng)
+        for what, X in (("tensor", tensor_complex(C, D)),
+                        ("hom", hom_complex(C, D)),
+                        ("dual", dual_complex(C))):
+            out[f"{field_name}/complex/{what}/{seed}"] = \
+                _digest(_positional_complex(X))
+    return out
+
+
 def _check(got, prefix, what):
     expected = json.loads(EXPECTED.read_text())
     want = {c: d for c, d in expected.items() if c.startswith(prefix)}
@@ -135,6 +166,12 @@ def test_acyclic_cone_blocks_are_pinned_by_position(field_name):
            "random_acyclic_complex blocks")
 
 
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+def test_complex_constructions_are_pinned_by_position(field_name):
+    _check(complex_digests(field_name), f"{field_name}/complex/",
+           "tensor, hom and dual complex blocks")
+
+
 if __name__ == "__main__":
     out = {}
     for f, n in CASES:
@@ -142,4 +179,5 @@ if __name__ == "__main__":
     for f in FIELDS:
         out.update(end_digests(f))
         out.update(cone_digests(f))
+        out.update(complex_digests(f))
     print(json.dumps(out, indent=1, sort_keys=True))

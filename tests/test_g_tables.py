@@ -4,8 +4,11 @@ For every builtin algebra and each of its modules M among k, A and
 Adual, over Q and over F_7, the tables of functor_G(F(M), M) at W = 3 and
 of morita_prime_F(M, M2) and morita_prime_G(F'(M), M2), with M2 the
 two-dimensional space in degree 0, are serialized by basis label with
-the serializers of `test_tables.py` and hashed.  The digests must equal
-those in `tests/expected_g_tables.json`.
+the serializers of `test_tables.py` and hashed.  The tables of
+morita_prime_G are also serialized by flat index, with no basis label
+(`test_free_module_pins._positional`), so that a change of its labels
+alone leaves that digest as it is.  The digests must equal those in
+`tests/expected_g_tables.json`.
 
     python tests/test_g_tables.py   # print the digests as JSON
 """
@@ -19,6 +22,7 @@ from bardual.catalog import BUILTIN_ALGEBRAS, builtin_algebra
 from bardual.duality import (functor_F, functor_G, morita_prime_F,
                              morita_prime_G)
 from bardual.graded import GradedVectorSpace
+from test_free_module_pins import _positional
 from test_tables import FIELDS, W, _digest, _modules, module_tables
 
 EXPECTED = pathlib.Path(__file__).resolve().parent / "expected_g_tables.json"
@@ -35,8 +39,9 @@ def constructions(field_name, name):
         out[p + "functor_G"] = module_tables(functor_G(FM, M, check=False))
         _, FpM = morita_prime_F(M, M2, check=False)
         out[p + "morita_prime_F"] = module_tables(FpM)
-        out[p + "morita_prime_G"] = module_tables(
-            morita_prime_G(FpM, M2, check=False))
+        GpM = morita_prime_G(FpM, M2, check=False)
+        out[p + "morita_prime_G"] = module_tables(GpM)
+        out[p + "morita_prime_G.positional"] = _positional(GpM)
     return out
 
 
