@@ -6,7 +6,7 @@ Hochschild algebras, and Morita duality, all over Q or F_p (p odd).
 from .fields import GF, QQ
 from .linalg import Matrix, eliminate, rank, solve_matrix
 from .graded import (Complex, GradedMap, GradedVectorSpace, cohomology,
-                     dual, dual_complex, dual_map, hom, hom_complex,
+                     dual, dual_complex, hom, hom_complex,
                      is_quasi_iso, shift, tensor, tensor_complex,
                      truncate_complex)
 from .algebras import (CurvedAlgebra, CurvedModule, CurvedMorphism,

@@ -12,11 +12,13 @@ space with its flat basis and index, the degree of each basis index,
 the differential table `diff`, `d` and `as_complex`.  Every table is
 applied by the kernels of `sparse` (`vapply`, `vleft`, `vright`,
 `vbilinear`); a product with a basis element passes the element's index.
-A differential passes from one construction to another as its table, and
-becomes blocks only in `as_complex`, through `GradedMap.from_table`.  The
-Hom differential (`hom_differential`) and the tensor differential
-(`_tensor_diff`) are each written once: End(M) takes [d, -] from the
-first, and A (x) B, A (x) V and N (x) M take theirs from the second.
+A map passes from one construction to another as its table.  It becomes
+blocks, through `GradedMap.from_table`, only where per-degree linear
+algebra runs (`as_complex`, `as_graded_map`, the inverse of a map), and
+blocks come back as a table only through `GradedMap.table` (the inverse,
+a change of basis).  End(M) takes [d, -] from
+`graded.hom_differential`, and A (x) B, A (x) V and N (x) M take theirs
+from `graded.tensor_differential`.
 
 Every defining identity is machine-checked by `validate`:
 
@@ -48,7 +50,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 from math import lcm
 
-from .graded import Complex, GradedMap, GradedVectorSpace
+from .graded import (Complex, GradedMap, GradedVectorSpace, hom_differential,
+                     tensor_differential)
 from .linalg import Matrix, inverse
 from .sparse import (vadd, vapply, vbilinear, vec, viadd, vleft, vneg,
                      vright)
@@ -362,33 +365,18 @@ class CurvedAlgebra(_DiffSpace):
         return f"CurvedAlgebra({kind}, dim={self.dim})"
 
 
-def _block(field, table, cols, rows):
-    """The matrix of `table` (index -> sparse vector) from the basis indices
-    `cols` to the basis indices `rows`."""
-    pos = {k: p for p, k in enumerate(rows)}
-    return Matrix.from_columns(
-        field, len(rows),
-        [{pos[k]: v for k, v in table.get(i, {}).items()} for i in cols])
-
-
 def _inverse_table(table, S, T):
     """The inverse, as a table from T to S, of the degree-0 map `table`
     (S index -> sparse T vector), or None when it is not bijective."""
-    inv_table = {}
-    for d in set(S.by_degree) | set(T.by_degree):
-        rows = T.by_degree.get(d, [])
-        cols = S.by_degree.get(d, [])
-        if len(rows) != len(cols):
-            return None
-        if not rows:
-            continue
-        inv = inverse(_block(S.field, table, cols, rows))
+    f = GradedMap.from_table(S.field, S.space, table, 0, T.space)
+    blocks = {}
+    for d in set(S.space.degrees) | set(T.space.degrees):
+        m = f.block(d)
+        inv = inverse(m) if m.rows == m.cols else None
         if inv is None:
             return None
-        for k, col in zip(rows, inv.columns()):
-            if col:
-                inv_table[k] = {cols[r]: v for r, v in col.items()}
-    return inv_table
+        blocks[d] = inv
+    return GradedMap(S.field, T.space, S.space, 0, blocks).table()
 
 
 # ---------------------------------------------------------------------------
@@ -551,14 +539,8 @@ class CurvedMorphism:
         return rep
 
     def as_graded_map(self) -> GradedMap:
-        field = self.field
-        blocks = {}
-        for d, idxs in self.source.by_degree.items():
-            m = _block(field, self.f, idxs, self.target.by_degree.get(d, []))
-            if not m.is_zero():
-                blocks[d] = m
-        return GradedMap(field, self.source.space, self.target.space, 0,
-                         blocks)
+        return GradedMap.from_table(self.field, self.source.space, self.f, 0,
+                                    self.target.space)
 
     def __repr__(self):
         kind = "strict" if not self.a else "twisted"
@@ -760,23 +742,6 @@ class TensorAlgebra(CurvedAlgebra):
                      for i, ci in va.items() for j, cj in vb.items()))
 
 
-def _tensor_diff(X, ydiff, ydim, pair):
-    """d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy on X (x) Y, as a table
-    over the indices pair(i, j) of x_i (x) y_j: X is an algebra or a
-    module, `ydiff` the differential table of Y and `ydim` its dimension."""
-    diff = {}
-    for i in range(X.dim):
-        dx = X.diff.get(i, {})
-        odd = X.degree[i] % 2
-        for j in range(ydim):
-            col = vec(*((pair(k, j), c) for k, c in dx.items()),
-                      *((pair(i, k), -c if odd else c)
-                        for k, c in ydiff.get(j, {}).items()))
-            if col:
-                diff[pair(i, j)] = col
-    return diff
-
-
 def tensor_algebras(A: CurvedAlgebra, B: CurvedAlgebra,
                     check=True) -> TensorAlgebra:
     """A (x) B with (a(x)b)(a'(x)b') = (-1)^{|b||a'|} aa' (x) bb'.
@@ -820,8 +785,8 @@ def tensor_algebras(A: CurvedAlgebra, B: CurvedAlgebra,
                         mult[(src1, pair(k, l))] = col
     unit = embed(A.unit, B.unit)
     curv = vadd(embed(A.curvature, B.unit), embed(A.unit, B.curvature))
-    return TensorAlgebra(A.field, space, unit, mult,
-                         _tensor_diff(A, B.diff, B.dim, pair), curv, A, B,
+    diff = tensor_differential(A.diff, A.degree, B.diff, B.dim, pair)
+    return TensorAlgebra(A.field, space, unit, mult, diff, curv, A, B,
                          check=check)
 
 
@@ -932,24 +897,8 @@ def free_module(A: CurvedAlgebra, V: GradedVectorSpace, dV: dict,
                 action[(a, pidx(i, j))] = {pidx(k, j): c
                                            for k, c in prod.items()}
     return CurvedModule(A, space, action,
-                        _tensor_diff(A, dV, len(basis_v), pidx), check=check)
-
-
-def hom_differential(sdiff, tdiff):
-    """d phi = d_T o phi - (-1)^{|phi|} phi o d_S on the maps S -> T, for
-    `sdiff` and `tdiff` the differential tables of S and T: image(n, (a, b))
-    is the list [(slot, coeff)] of d applied to the degree-n map sending
-    basis a of S to basis b of T."""
-    hits = {}  # hits[a] = [(k, c)] for the terms c s_a of d s_k
-    for k in sorted(sdiff):
-        for a, c in sdiff[k].items():
-            hits.setdefault(a, []).append((k, c))
-
-    def image(n, slot):
-        a, b = slot
-        return ([((a, b2), c) for b2, c in tdiff.get(b, {}).items()]
-                + [((k, b), c if n % 2 else -c) for k, c in hits.get(a, ())])
-    return image
+                        tensor_differential(A.diff, A.degree, dV,
+                                            len(basis_v), pidx), check=check)
 
 
 def endomorphism_algebra(space: GradedVectorSpace, diff: dict, field,
@@ -1027,48 +976,28 @@ def change_basis(A: CurvedAlgebra, mats: dict, check=True) -> CurvedAlgebra:
     basis in the old one; labels are kept.  Used to generate "generic"
     presentations of test algebras.
     """
-    field = A.field
-    fwd = {}
-    bwd = {}
-    for d, idxs in A.by_degree.items():
-        m = mats.get(d, Matrix.identity(field, len(idxs)))
+    field, V = A.field, A.space
+    fwd, bwd = {}, {}
+    for d in V.degrees:
+        m = mats.get(d, Matrix.identity(field, V.dim(d)))
         mi = inverse(m)
         if mi is None:
             raise ValueError(f"basis change at degree {d} is singular")
         fwd[d], bwd[d] = m, mi
-
-    pos = {}
-    for d, idxs in A.by_degree.items():
-        for p, i in enumerate(idxs):
-            pos[i] = p
-
-    def new_to_old(i):
-        d = A.degree[i]
-        idxs = A.by_degree[d]
-        return {idxs[r]: c for r, c in fwd[d].columns()[pos[i]].items()}
-
-    def old_vec_to_new(vec):
-        by_d = {}
-        for k, c in vec.items():
-            by_d.setdefault(A.degree[k], {})[pos[k]] = c
-        out = {}
-        for d, part in by_d.items():
-            idxs = A.by_degree[d]
-            out.update((idxs[r], c) for r, c in bwd[d].apply(part).items())
-        return out
+    # new basis index -> old vector, and old basis index -> new vector
+    old = GradedMap(field, V, V, 0, fwd).table()
+    new = GradedMap(field, V, V, 0, bwd).table()
 
     mult = {}
     for i in range(A.dim):
-        vi = new_to_old(i)
         for j in range(A.dim):
-            prod = A.mul(vi, new_to_old(j))
+            prod = A.mul(old[i], old[j])
             if prod:
-                mult[(i, j)] = old_vec_to_new(prod)
+                mult[(i, j)] = vapply(new, prod)
     diff = {}
     for i in range(A.dim):
-        img = A.d(new_to_old(i))
+        img = A.d(old[i])
         if img:
-            diff[i] = old_vec_to_new(img)
-    unit = old_vec_to_new(A.unit)
-    curv = old_vec_to_new(A.curvature)
-    return CurvedAlgebra(field, A.space, unit, mult, diff, curv, check=check)
+            diff[i] = vapply(new, img)
+    return CurvedAlgebra(field, V, vapply(new, A.unit), mult, diff,
+                         vapply(new, A.curvature), check=check)

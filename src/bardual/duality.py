@@ -12,8 +12,10 @@
 A Hom over End(M) is a Hom between two modules over one algebra:
 HomOverEnd(S, T) solves the intertwiner equations exactly, with M an
 End(M)-module by its matrix units (end_module) and the other side acting
-through its embedding of End(M) (restrict_to_end).  The Hom differential
-is `algebras.hom_differential`, the one End(M)'s [d, -] is built from.
+through its embedding of End(M) (restrict_to_end).  Its solved space is
+a graded space like any other, and the maps it induces are tables over
+that space's flat index.  The Hom differential is
+`graded.hom_differential`, the one End(M)'s [d, -] is built from.
 Two derived sign rules do real work here (both audited by the module
 validators):
 
@@ -27,13 +29,12 @@ validators):
 
 from __future__ import annotations
 
-from .algebras import (CurvedModule, ModuleMap, TensorAlgebra, _tensor_diff,
-                       endomorphism_algebra, free_module, hom_differential,
-                       invert_morphism, module_action_map, pullback_module,
-                       tensor_algebras)
+from .algebras import (CurvedModule, ModuleMap, TensorAlgebra,
+                       endomorphism_algebra, free_module, invert_morphism,
+                       module_action_map, pullback_module, tensor_algebras)
 from .bar import (TruncatedTensorAlgebra, WordBasis, _generator_diff_table,
                   _sxi_sign, canonical_mc, hochschild_via_twist)
-from .graded import GradedVectorSpace
+from .graded import GradedVectorSpace, hom_differential, tensor_differential
 from .linalg import ColumnEchelon, Matrix, eliminate
 from .sparse import vec, viadd, vleft, vneg, vright
 from .twisting import twist_algebra, twist_module
@@ -51,7 +52,9 @@ class HomOverEnd:
     Coordinates of a degree-n map live on `slots[n]`, a list of
     (source basis index, target basis index) pairs; `basis[n]` holds the
     solved kernel vectors (first-pivot convention, deterministic), sparse
-    over those positions.
+    over those positions.  `space` is the solved Hom space, with labels
+    {n: range(len(basis[n]))}; maps between solved Hom spaces are tables
+    over its flat index.
     """
 
     def __init__(self, S: CurvedModule, T: CurvedModule):
@@ -77,6 +80,10 @@ class HomOverEnd:
                 self.basis[n] = kernel
                 self._echelons[n] = ColumnEchelon(self.field, kernel,
                                                   track=True)
+        self.space = GradedVectorSpace(
+            {n: range(len(bs)) for n, bs in self.basis.items()})
+        index = self.space.flat[1]
+        self._start = {n: index[(n, 0)] for n in self.basis}
 
     def _constraint_rows(self, n, slots):
         """phi(c . s_j) - (-1)^{n|c|} c . phi(s_j) = 0 in T for every basis
@@ -100,11 +107,6 @@ class HomOverEnd:
                           {pos: x if odd else -x})
         return [row for row in rows.values() if row]
 
-    def space(self) -> GradedVectorSpace:
-        return GradedVectorSpace(
-            {n: tuple(("h", n, i) for i in range(len(bs)))
-             for n, bs in self.basis.items()})
-
     def dims(self):
         return {n: len(bs) for n, bs in self.basis.items()}
 
@@ -116,30 +118,31 @@ class HomOverEnd:
         """The map of solved Hom spaces that sends the slot s of a degree-n
         map to `image(n, s)`, a list [(slot, coeff)] of degree n + shift.
 
-        Returns {n: [coordinates, in the degree n + shift basis, of the
-        image of each degree-n basis map]}.  Image slots outside the
-        solved slots of degree n + shift are dropped.
+        Returns the table {flat index of a basis map: flat coordinates of
+        its image}, nonzero images only.  Image slots outside the solved
+        slots of degree n + shift are dropped.
         """
         out = {}
         for n, basis in self.basis.items():
             slots = self.slots[n]
             m = n + shift
             tpos = {s: i for i, s in enumerate(self.slots.get(m, ()))}
-            cols = []
-            for vec in basis:
+            for p, vec in enumerate(basis):
                 acc = {}
                 for pos, c in vec.items():
                     for s, cc in image(n, slots[pos]):
                         t = tpos.get(s)
                         if t is not None:
                             viadd(acc, {t: c * cc})
-                cols.append(self.coords(m, acc))
-            out[n] = cols
+                col = self.coords(m, acc)
+                if col:
+                    out[self._start[n] + p] = col
         return out
 
     def coords(self, n, vec):
-        """Sparse coordinates in the solved basis of a sparse slot vector,
-        from the echelon of degree n built once."""
+        """Coordinates over the flat index of `space` of a sparse vector
+        over the slots of degree n, from the echelon of degree n built
+        once."""
         E = self._echelons.get(n)
         if E is None:
             if vec:
@@ -148,7 +151,8 @@ class HomOverEnd:
         x = E.solve(vec)
         if x is None:
             raise ValueError("map is not in the solved Hom space")
-        return x
+        start = self._start[n]
+        return {start + i: c for i, c in x.items()}
 
 
 def end_embed_bar(E0: TruncatedTensorAlgebra):
@@ -437,16 +441,12 @@ def functor_G(L: CurvedModule, M: CurvedModule, check=True) -> CurvedModule:
 
     # A (x) H over the re-based algebra, d(a (x) phi) = da (x) phi +
     # (-1)^{|a|} a (x) d_H phi, plus the twist operator (module docstring)
-    V = GradedVectorSpace({n: range(len(bs)) for n, bs in H.basis.items()})
-    vpos = V.flat[1]
-    dV = {vpos[n, hi]: {vpos[n + 1, hj]: c for hj, c in col.items()}
-          for n, cols in H.differential().items()
-          for hi, col in enumerate(cols) if col}
-    AH = free_module(R, V, dV, check=False)
+    AH = free_module(R, H.space, H.differential(), check=False)
     diff = AH.diff
+    hbasis = H.space.flat[0]
 
-    def gidx(i, n, hi):
-        return AH.index[(R.degree[i] + n, (i, (n, hi)))]
+    def gidx(i, h):
+        return AH.index[(R.degree[i] + hbasis[h][0], (i, hbasis[h]))]
 
     for i in range(R.dim):
         for pos, (src, gd) in enumerate(E0.gens):
@@ -456,13 +456,12 @@ def functor_G(L: CurvedModule, M: CurvedModule, check=True) -> CurvedModule:
             eta = _eta_sign(field, 1 - gd)
             if R.degree[i] % 2:
                 eta = -eta
-            for n, cols in betas[pos].items():
-                for hi, bcol in enumerate(cols):
-                    col = diff.setdefault(gidx(i, n, hi), {})
-                    for hj, c in bcol.items():
-                        t = eta * c
-                        for k, ck in prod.items():
-                            viadd(col, {gidx(k, n + gd, hj): t * ck})
+            for h, bcol in betas[pos].items():
+                col = diff.setdefault(gidx(i, h), {})
+                for h2, c in bcol.items():
+                    t = eta * c
+                    for k, ck in prod.items():
+                        viadd(col, {gidx(k, h2): t * ck})
 
     diff = {g: col for g, col in diff.items() if col}
     GL = CurvedModule(R, AH.space, AH.action, diff, check=check)
@@ -512,7 +511,8 @@ def morita_prime_F(N: CurvedModule, Mspace: GradedVectorSpace,
                         for j2, c in img.items() for u, cu in tcol.items()))
 
     FpN = CurvedModule(Ep, space, action,
-                       _tensor_diff(N, {}, len(mbasis), pidx), check=check)
+                       tensor_differential(N.diff, N.degree, {},
+                                           len(mbasis), pidx), check=check)
     FpN.pair_index = pidx
     FpN.mspace = Mspace
     return Ep, FpN
@@ -527,17 +527,6 @@ def morita_prime_G(L: CurvedModule, Mspace: GradedVectorSpace,
     B, endm = Ep.left, Ep.right
     H = HomOverEnd(end_module(endm, Mspace, {}),
                    restrict_to_end(L, endm, end_embed_tensor(Ep)))
-    hspace = H.space()
-    fpos = hspace.flat[1]
-
-    def columns(shift, induced):
-        """(flat index, column) of each nonzero map of an induced table."""
-        for n, cols in induced.items():
-            for i, x in enumerate(cols):
-                if x:
-                    yield (fpos[(n, ("h", n, i))],
-                           {fpos[(n + shift, ("h", n + shift, hj))]: c
-                            for hj, c in x.items()})
 
     # B-action: (b.phi)(m) = (b (x) 1) . phi(m)
     action = {}
@@ -546,11 +535,9 @@ def morita_prime_G(L: CurvedModule, Mspace: GradedVectorSpace,
         images = [vleft(L.action, bvec, l) for l in range(L.dim)]
         induced = H.induced(B.degree[bi], lambda n, slot: [
             ((slot[0], l2), c) for l2, c in images[slot[1]].items()])
-        action.update(((bi, k), col)
-                      for k, col in columns(B.degree[bi], induced))
-    diff = dict(columns(1, H.differential()))
+        action.update(((bi, h), col) for h, col in induced.items())
 
-    GL = CurvedModule(B, hspace, action, diff, check=check)
+    GL = CurvedModule(B, H.space, action, H.differential(), check=check)
     GL.hom = H
     return GL
 
@@ -561,13 +548,11 @@ def prime_unit_iso(N: CurvedModule, Mspace: GradedVectorSpace, Ep, FpN,
     one = N.field.one
     H = GpFpN.hom
     blocks = {}
-    fpos = GpFpN.space.flat[1]
     for j in range(N.dim):
         n = N.degree[j]
         vec = {pos: one for pos, (a, l) in enumerate(H.slots.get(n, []))
                if l == FpN.pair_index(j, a)}
-        col = {fpos[(n, ("h", n, hi))]: c
-               for hi, c in H.coords(n, vec).items()}
+        col = H.coords(n, vec)
         if col:
             blocks[j] = col
     return ModuleMap(N, GpFpN, blocks, check=check)
@@ -580,9 +565,9 @@ def prime_counit_iso(L: CurvedModule, Mspace: GradedVectorSpace, GpL,
     blocks = {}
     for i in range(FpGpL.dim):
         _, (j, a) = FpGpL.basis[i]
-        n, lbl = GpL.basis[j]
+        n, hi = GpL.basis[j]
         col = {}
-        for pos, c in H.basis[n][lbl[2]].items():
+        for pos, c in H.basis[n][hi].items():
             a2, l = H.slots[n][pos]
             if a2 == a:
                 viadd(col, {l: c})

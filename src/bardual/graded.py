@@ -6,19 +6,22 @@ Conventions used everywhere in this package:
   checked eagerly whenever a Complex is built;
 * suspension raises degree: shift(V, k) puts V_n in degree n+k;
 * duals negate degrees, (V*)_n = (V_{-n})*, and keep the same basis labels;
-* the Koszul sign rule is written out by each construction that needs
-  it (here dual_map / tensor_map / hom_complex) and audited by the eager
-  d² checks and the validators rather than trusted;
+* the Koszul sign rule is written out once for each construction that
+  needs it, as a differential table: `tensor_differential`,
+  `hom_differential` and the signed transpose of `dual_complex`; the
+  eager d² checks and the validators audit them rather than trust them;
 * a map passes from one construction to another as a table {flat index:
   sparse vector}, the format every structure stores; it becomes a
   GradedMap of per-degree blocks only where per-degree linear algebra
-  starts, through `GradedMap.from_table`, the one conversion.
+  starts.  `GradedMap.from_table` and `GradedMap.table` are the one
+  crossing between the two, either way.
 """
 
 from __future__ import annotations
 
 from .linalg import (Matrix, eliminate, quotient_representatives, rank,
                      solve_matrix)
+from .sparse import vec
 
 
 class GradedVectorSpace:
@@ -72,6 +75,14 @@ class GradedVectorSpace:
     def __repr__(self):
         dims = {n: len(v) for n, v in sorted(self.components.items())}
         return f"GradedVectorSpace({dims})"
+
+
+def _starts(V: GradedVectorSpace):
+    """{degree: flat index of its first basis element}."""
+    out, first = {}, 0
+    for n in V.degrees:
+        out[n], first = first, first + V.dim(n)
+    return out
 
 
 def shift(V: GradedVectorSpace, k: int) -> GradedVectorSpace:
@@ -132,25 +143,37 @@ class GradedMap:
         return cls(field, source, target, degree, {})
 
     @classmethod
-    def from_table(cls, field, space, table, degree):
-        """The map on `space` of `table` (flat index -> sparse vector over
-        the flat index), the one place a table becomes blocks.  Each block
-        keeps the table's sparse columns, re-indexed to positions within
-        the target degree; no dense block is ever filled."""
-        start, first = {}, 0      # the flat basis runs through degrees in order
-        for d in space.degrees:
-            start[d], first = first, first + space.dim(d)
+    def from_table(cls, field, source, table, degree, target=None):
+        """The map `table` (source flat index -> sparse vector over the
+        flat index of `target`, default `source`) as blocks: with `table()`,
+        the one place a map changes between the two.  Each block keeps the
+        table's sparse columns, re-indexed to positions within the target
+        degree; no dense block is ever filled."""
+        target = source if target is None else target
+        sstart, tstart = _starts(source), _starts(target)
         blocks = {}
-        for d in space.degrees:
-            rows = space.dim(d + degree)
+        for d in source.degrees:
+            rows = target.dim(d + degree)
             if not rows:
                 continue
-            t = start[d + degree]
+            t, first = tstart[d + degree], sstart[d]
             cols = [{k - t: v for k, v in table.get(i, {}).items()}
-                    for i in range(start[d], start[d] + space.dim(d))]
+                    for i in range(first, first + source.dim(d))]
             if any(cols):
                 blocks[d] = Matrix.from_columns(field, rows, cols)
-        return cls(field, space, space, degree, blocks)
+        return cls(field, source, target, degree, blocks)
+
+    def table(self):
+        """The map as a table {source flat index: sparse vector over the
+        target's flat index}, nonzero columns only; `from_table` inverts it."""
+        sstart, tstart = _starts(self.source), _starts(self.target)
+        out = {}
+        for n, m in self.blocks.items():
+            s, t = sstart[n], tstart[n + self.degree]
+            for p, col in enumerate(m.columns()):
+                if col:
+                    out[s + p] = {t + r: v for r, v in col.items()}
+        return out
 
     @classmethod
     def identity(cls, field, V):
@@ -175,21 +198,6 @@ class GradedMap:
         return GradedMap(self.field, other.source, self.target,
                          self.degree + other.degree, blocks)
 
-    def __add__(self, other):
-        if (self.source != other.source or self.target != other.target
-                or self.degree != other.degree):
-            raise ValueError("sum of incompatible maps")
-        return GradedMap(self.field, self.source, self.target, self.degree,
-                         {n: self.block(n) + other.block(n)
-                          for n in set(self.blocks) | set(other.blocks)})
-
-    def scale(self, c):
-        return GradedMap(self.field, self.source, self.target, self.degree,
-                         {n: m.scale(c) for n, m in self.blocks.items()})
-
-    def __neg__(self):
-        return self.scale(-self.field.one)
-
     def __eq__(self, other):
         return (isinstance(other, GradedMap) and self.source == other.source
                 and self.target == other.target and self.degree == other.degree
@@ -200,67 +208,6 @@ class GradedMap:
 
     def __repr__(self):
         return f"GradedMap(degree={self.degree}, blocks={sorted(self.blocks)})"
-
-
-def dual_map(f: GradedMap) -> GradedMap:
-    """Dual with the Koszul sign: (f*)(phi) = (-1)^{|f||phi|} phi o f.
-
-    Same degree as f; satisfies dual(g o f) = (-1)^{|f||g|} dual(f) o dual(g).
-    """
-    src = dual(f.target)
-    tgt = dual(f.source)
-    blocks = {}
-    for n, m in f.blocks.items():
-        # phi lives in (W*)_k with k = -(n + f.degree); phi o f on V_n.
-        k = -(n + f.degree)
-        t = m.transpose()
-        if (f.degree * k) % 2:
-            t = -t
-        blocks[k] = t
-    return GradedMap(f.field, src, tgt, f.degree, blocks)
-
-
-def _tensor_layout(V: GradedVectorSpace, W: GradedVectorSpace):
-    """Per tensor-degree: ordered list of (i, j, pa, pb) mirroring tensor()."""
-    layout = {}
-    for i in V.degrees:
-        for j in W.degrees:
-            layout.setdefault(i + j, []).extend(
-                (i, j, pa, pb)
-                for pa in range(V.dim(i)) for pb in range(W.dim(j)))
-    return layout
-
-
-def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
-    """(f (x) g)(v (x) w) = (-1)^{|g||v|} f(v) (x) g(w)."""
-    field = f.field
-    src = tensor(f.source, g.source)
-    tgt = tensor(f.target, g.target)
-    src_layout = _tensor_layout(f.source, g.source)
-    tgt_layout = _tensor_layout(f.target, g.target)
-    tgt_pos = {n: {t: p for p, t in enumerate(lst)}
-               for n, lst in tgt_layout.items()}
-    fcols = {n: m.columns() for n, m in f.blocks.items()}
-    gcols = {n: m.columns() for n, m in g.blocks.items()}
-    deg = f.degree + g.degree
-    blocks = {}
-    for n, entries in src_layout.items():
-        rows = tgt.dim(n + deg)
-        if rows == 0:
-            continue
-        lookup = tgt_pos[n + deg]
-        cols = []
-        for (i, j, pa, pb) in entries:
-            col = {}
-            if i in fcols and j in gcols:
-                sign = -field.one if (g.degree * i) % 2 else field.one
-                for pa2, c1 in fcols[i][pa].items():
-                    for pb2, c2 in gcols[j][pb].items():
-                        row = lookup[(i + f.degree, j + g.degree, pa2, pb2)]
-                        col[row] = sign * c1 * c2
-            cols.append(col)
-        blocks[n] = Matrix.from_columns(field, rows, cols)
-    return GradedMap(field, src, tgt, deg, blocks)
 
 
 class Complex:
@@ -290,57 +237,86 @@ class Complex:
         return f"Complex({self.space!r})"
 
 
+def tensor_differential(xdiff, xdeg, ydiff, ydim, pair):
+    """d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy on X (x) Y, as a table
+    over the indices pair(i, j) of x_i (x) y_j: `xdiff` is the differential
+    table of X and `xdeg` the degree of each of its basis indices, `ydiff`
+    the differential table of Y and `ydim` its dimension."""
+    diff = {}
+    for i, deg in enumerate(xdeg):
+        dx, odd = xdiff.get(i, {}), deg % 2
+        for j in range(ydim):
+            col = vec(*((pair(k, j), c) for k, c in dx.items()),
+                      *((pair(i, k), -c if odd else c)
+                        for k, c in ydiff.get(j, {}).items()))
+            if col:
+                diff[pair(i, j)] = col
+    return diff
+
+
+def hom_differential(sdiff, tdiff):
+    """d phi = d_T o phi - (-1)^{|phi|} phi o d_S on the maps S -> T, for
+    `sdiff` and `tdiff` the differential tables of S and T: image(n, (a, b))
+    is the list [(slot, coeff)] of d applied to the degree-n map sending
+    basis a of S to basis b of T."""
+    hits = {}  # hits[a] = [(k, c)] for the terms c s_a of d s_k
+    for k in sorted(sdiff):
+        for a, c in sdiff[k].items():
+            hits.setdefault(a, []).append((k, c))
+
+    def image(n, slot):
+        a, b = slot
+        return ([((a, b2), c) for b2, c in tdiff.get(b, {}).items()]
+                + [((k, b), c if n % 2 else -c) for k, c in hits.get(a, ())])
+    return image
+
+
 def tensor_complex(C: Complex, D: Complex) -> Complex:
+    """C (x) D with d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy."""
     V = tensor(C.space, D.space)
-    idC = GradedMap.identity(C.field, C.space)
-    idD = GradedMap.identity(D.field, D.space)
-    d = tensor_map(C.d, idD) + tensor_map(idC, D.d)
-    return Complex(C.field, V, d)
+    index = V.flat[1]
+    cbasis, dbasis = C.space.flat[0], D.space.flat[0]
+
+    def pair(i, j):
+        (m, a), (n, b) = cbasis[i], dbasis[j]
+        return index[(m + n, (a, b))]
+    d = tensor_differential(C.d.table(), [n for n, _ in cbasis],
+                            D.d.table(), len(dbasis), pair)
+    return Complex(C.field, V, GradedMap.from_table(C.field, V, d, 1))
 
 
 def hom_complex(C: Complex, D: Complex) -> Complex:
     """Hom-complex with d(f) = d_D o f - (-1)^{|f|} f o d_C."""
-    field = C.field
-    V, W = C.space, D.space
-    H = hom(V, W)
-    dD = {n: m.columns() for n, m in D.d.blocks.items()}
-    # rows of d_C: pre-composing e_{b<-a} with d_C reads row a of d_C
-    dC_rows = {n: m.transpose().columns() for n, m in C.d.blocks.items()}
+    H = hom(C.space, D.space)
+    index = H.flat[1]
+    cbasis, dbasis = C.space.flat[0], D.space.flat[0]
+    cindex, dindex = C.space.flat[1], D.space.flat[1]
+    image = hom_differential(C.d.table(), D.d.table())
 
-    def h_layout(n):
-        out = []
-        for j in V.degrees:
-            for pa in range(V.dim(j)):
-                for pb in range(W.dim(j + n)):
-                    out.append((j, pa, pb))
-        return out
-
-    blocks = {}
-    for n in H.degrees:
-        src_entries = h_layout(n)
-        tgt_entries = h_layout(n + 1)
-        if not tgt_entries:
-            continue
-        tgt_pos = {t: p for p, t in enumerate(tgt_entries)}
-        sgn = -field.one if n % 2 else field.one
-        cols = []
-        for (j, pa, pb) in src_entries:
-            col = {}
-            # post-compose with d_D: e_{b<-a} at j goes to (d b)<-a.
-            if j + n in dD:
-                for pb2, c in dD[j + n][pb].items():
-                    col[tgt_pos[(j, pa, pb2)]] = c
-            # pre-compose with d_C: contributions from V_{j-1}.
-            if j - 1 in dC_rows:
-                for pa2, c in dC_rows[j - 1][pa].items():
-                    col[tgt_pos[(j - 1, pa2, pb)]] = -sgn * c
-            cols.append(col)
-        blocks[n] = Matrix.from_columns(field, len(tgt_entries), cols)
-    return Complex(field, H, GradedMap(field, H, H, 1, blocks))
+    def hidx(s, t):
+        (j, a), (m, b) = cbasis[s], dbasis[t]
+        return index[(m - j, (j, a, b))]
+    table = {}
+    for h, (n, (j, a, b)) in enumerate(H.flat[0]):
+        slot = (cindex[(j, a)], dindex[(j + n, b)])
+        col = vec(*((hidx(*st), c) for st, c in image(n, slot)))
+        if col:
+            table[h] = col
+    return Complex(C.field, H, GradedMap.from_table(C.field, H, table, 1))
 
 
 def dual_complex(C: Complex) -> Complex:
-    return Complex(C.field, dual(C.space), dual_map(C.d))
+    """C* with the signed transpose: d(e_i) = ... + c e_k + ... gives
+    d(e_k*) = ... + (-1)^{|e_k|} c e_i* + ...; (C*)_n = (C_{-n})*."""
+    V = dual(C.space)
+    index = V.flat[1]
+    star = [index[(-n, lbl)] for n, lbl in C.space.flat[0]]
+    degree = [n for n, _ in C.space.flat[0]]
+    table = {}
+    for i, col in C.d.table().items():
+        for k, c in col.items():
+            table.setdefault(star[k], {})[star[i]] = -c if degree[k] % 2 else c
+    return Complex(C.field, V, GradedMap.from_table(C.field, V, table, 1))
 
 
 class Cohomology:

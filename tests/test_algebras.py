@@ -15,7 +15,8 @@ from bardual.algebras import (CurvedAlgebra, CurvedModule, CurvedMorphism,
 from bardual.bar import hochschild_direct
 from bardual.catalog import builtin_algebra, builtin_module, BUILTIN_ALGEBRAS
 from bardual.fields import GF, QQ
-from bardual.graded import GradedVectorSpace, cohomology, is_quasi_iso
+from bardual.graded import (GradedMap, GradedVectorSpace, cohomology,
+                            is_quasi_iso)
 from bardual.sampling import random_dg_algebra
 from bardual.sparse import viadd
 from bardual.twisting import twist_algebra
@@ -262,6 +263,9 @@ def test_projection_to_factor_is_quasi_iso():
     assert validate(P).ok
     f = pA.as_graded_map()
     assert is_quasi_iso(f, P.as_complex(), D.as_complex(), (-1, 1))
+    # from_table and table() invert each other on a map between two spaces
+    assert f.table() == {i: v for i, v in pA.f.items() if v}
+    assert GradedMap.from_table(QQ, P.space, f.table(), 0, D.space) == f
 
 
 def test_acyclic_two_dim_structure():

@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 from bardual.algebras import acyclic_two_dim
 from bardual.fields import GF, QQ
 from bardual.graded import (Complex, GradedMap, GradedVectorSpace,
-                            cohomology, dual, dual_complex, dual_map, hom,
-                            hom_complex, is_quasi_iso, shift, tensor,
-                            tensor_complex, truncate_complex)
+                            cohomology, dual, dual_complex, hom, hom_complex,
+                            is_quasi_iso, shift, tensor, tensor_complex,
+                            truncate_complex)
 from bardual.linalg import Matrix
 from bardual.sampling import random_acyclic_complex, random_space, \
     random_square_zero
@@ -38,15 +38,20 @@ def test_dual_negates_degrees():
 
 
 def test_dual_of_identity_is_identity():
+    # dual(V) keeps V's labels, so the identity's table is the identity
+    # there too; and the dual of a complex with d = 0 has d = 0
     V = space({0: 2, 1: 1})
-    assert dual_map(GradedMap.identity(QQ, V)) == \
+    assert GradedMap.from_table(
+        QQ, dual(V), GradedMap.identity(QQ, V).table(), 0) == \
         GradedMap.identity(QQ, dual(V))
+    C = Complex(QQ, V, GradedMap.zero(QQ, V, V, 1))
+    assert dual_complex(C).d == GradedMap.zero(QQ, dual(V), dual(V), 1)
 
 
 def test_dual_of_differential_squares_to_zero():
     C = acyclic_two_dim(QQ).as_complex()
-    dd = dual_map(C.d)
-    assert dd.degree == 1
+    dd = dual_complex(C).d
+    assert dd.degree == 1 and not dd.is_zero()
     assert dd.compose(dd).is_zero()
     assert dual_complex(C).space == dual(C.space)
 
