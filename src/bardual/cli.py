@@ -21,8 +21,10 @@ Machine reports are flat "key = value" lines, deterministic byte-for-byte
 for identical inputs (timings go to stdout only, never into the report).
 Exit status is 1 when any check fails or none ran, and 2 (with a one-line
 `error:` message) when the input cannot be parsed or resolved: a bad
-field, an unreadable file, an unknown module or one the algebra lacks, or
-an algebra a method refuses (`morita.RefusedInput`).
+field, an unreadable file, an unknown module or one the algebra lacks, an
+algebra a method refuses (`morita.RefusedInput`), a `--window` the
+scenario would not read, or a koszul-check truncation below 2, at which
+no degree can be compared.
 """
 
 from __future__ import annotations
@@ -452,10 +454,13 @@ def scenario_hochschild(args) -> ScenarioReport:
 def scenario_koszul_check(args) -> ScenarioReport:
     rep = ScenarioReport("koszul-check")
     t0 = time.monotonic()
+    W = args.truncation
+    if W < 2:
+        raise InputError(f"koszul-check compares degrees 0..W-2, none at "
+                         f"truncation {W}: use --truncation 2 or more")
     A, modules, name, digest = _load(args)
     Ao = OrdinaryAlgebra(A)     # the Ext oracle's input, refused up front
     M, mname = _coefficient_module(A, modules, name, args.module)
-    W = args.truncation
     rep.inputs.update(algebra=name, digest=digest, module=mname,
                       truncation=W, field=A.field.name)
     # only the differential of E is read, so no cup product is built
@@ -564,6 +569,13 @@ def run_scenario(name: str, args) -> ScenarioReport:
     except KeyError:
         raise SystemExit(f"unknown scenario {name!r}; "
                          f"choices: {sorted(SCENARIOS)}") from None
+    # a window the scenario would not read is refused, not ignored:
+    # hochschild reads both ends, ext only the upper one
+    if args.window is not None and name != "hochschild":
+        if name != "ext":
+            raise InputError(f"{name} does not take --window")
+        if args.window[0] != 0:
+            raise InputError("ext computes Ext^0..Ext^b: --window must be 0:b")
     try:
         return fn(args)
     except RefusedInput as e:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from bardual.cli import ParseError, main, parse_algebra_file
+from bardual.cli import ParseError, ScenarioReport, main, parse_algebra_file
 from bardual.algebras import ValidationError
 
 
@@ -250,14 +250,17 @@ def test_shipped_sample_algebras():
 
 
 @pytest.mark.parametrize("W", ["0", "1"])
-def test_scenario_without_checks_fails(W, tmp_path, capsys):
+def test_koszul_check_below_two_is_refused(W, tmp_path, capsys):
     # koszul-check compares degrees 0..W-2: none at all for W <= 1
     r = tmp_path / "r.txt"
     assert main(["koszul-check", "--algebra", "dual_numbers", "--module",
-                 "k", "--truncation", W, "--report", str(r)]) == 1
-    assert "result: FAIL" in capsys.readouterr().out
-    text = r.read_text()
-    assert "check." not in text and "status = FAIL" in text
+                 "k", "--truncation", W, "--report", str(r)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1, out
+    assert not r.exists()
+    # a report with no check still fails, whatever scenario makes one
+    empty = ScenarioReport("koszul-check")
+    assert not empty.ok and empty.machine_lines()[-1] == "status = FAIL"
 
 
 def test_negative_truncation_is_refused(capsys):
@@ -358,6 +361,21 @@ def test_reversed_window_is_refused(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "need a <= b" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["koszul-check", "--algebra", "dual_numbers", "--truncation", "4",
+     "--window", "0:9"],
+    ["ext", "--algebra", "dual_numbers", "--module", "k", "--window", "2:3"],
+    ["verify", "--algebra", "dual_numbers", "--window", "0:1"],
+    ["morita", "--algebra", "dual_numbers", "--window", "0:1"],
+    ["simples", "--algebra", "dual_numbers", "--window", "0:1"],
+], ids=["koszul-check", "ext", "verify", "morita", "simples"])
+def test_window_a_scenario_would_not_read_is_refused(argv, capsys):
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1, out
+    assert "--window" in out
 
 
 @pytest.mark.parametrize("argv", [
