@@ -39,7 +39,8 @@ element.
 tables of d and of the product, and its end terms stay its own code,
 because the `direct-equals-twist` checks certify them against the
 twisted bar, and a shared kernel would certify itself.  Its cochain
-complex, `hochschild_cochains`, is all that `koszul-check` builds; the
+complex, `hochschild_cochains`, is all that `koszul-check` builds, and
+only through word length W-1, the top degree its H^0..H^{W-2} read; the
 eager cup product is added on top only by `hochschild_direct`.  The
 cochains compute each coefficient of their differential once, in both
 signs, before the word loop, which only looks up indices and adds.

@@ -22,9 +22,9 @@ for identical inputs (timings go to stdout only, never into the report).
 Exit status is 1 when any check fails or none ran, and 2 (with a one-line
 `error:` message) when the input cannot be parsed or resolved: a bad
 field, an unreadable file, an unknown module or one the algebra lacks, an
-algebra a method refuses (`morita.RefusedInput`), a `--window` the
-scenario would not read, or a koszul-check truncation below 2, at which
-no degree can be compared.
+algebra or module a method refuses (`morita.RefusedInput`), a `--module`
+or `--window` the scenario would not read, or a koszul-check truncation
+below 2, at which no degree can be compared.
 """
 
 from __future__ import annotations
@@ -459,14 +459,19 @@ def scenario_koszul_check(args) -> ScenarioReport:
         raise InputError(f"koszul-check compares degrees 0..W-2, none at "
                          f"truncation {W}: use --truncation 2 or more")
     A, modules, name, digest = _load(args)
-    Ao = OrdinaryAlgebra(A)     # the Ext oracle's input, refused up front
+    Ao = OrdinaryAlgebra(A)     # the Ext oracle's inputs, refused up front
     M, mname = _coefficient_module(A, modules, name, args.module)
+    Mo = OrdinaryModule.from_curved(Ao, M)
     rep.inputs.update(algebra=name, digest=digest, module=mname,
                       truncation=W, field=A.field.name)
-    # only the differential of E is read, so no cup product is built
-    C = hochschild_cochains(A, M, W, check=False).as_complex()
+    # Only the differential of E is read, so no cup product is built, and
+    # only through word length W-1: A and M are ordinary, so generators
+    # sit in degree 1, End(M) in degree 0 and a cochain's degree is its
+    # word length.  H^0..H^{W-2} read d_{-1}..d_{W-2}, which land in
+    # degrees <= W-1, and those blocks are the same at truncation W-1 as
+    # at W.
+    C = hochschild_cochains(A, M, W - 1, check=False).as_complex()
     coh = cohomology(C, (0, W - 2))
-    Mo = OrdinaryModule.from_curved(Ao, M)
     ext = ext_oracle(Ao, Mo, Mo, W - 2)
     for n in range(W - 1):
         h = coh[n].betti
@@ -569,8 +574,10 @@ def run_scenario(name: str, args) -> ScenarioReport:
     except KeyError:
         raise SystemExit(f"unknown scenario {name!r}; "
                          f"choices: {sorted(SCENARIOS)}") from None
-    # a window the scenario would not read is refused, not ignored:
-    # hochschild reads both ends, ext only the upper one
+    # a module or a window the scenario would not read is refused, not
+    # ignored: hochschild reads both ends of a window, ext only the upper
+    if args.module is not None and name in ("verify", "morita", "simples"):
+        raise InputError(f"{name} does not take --module")
     if args.window is not None and name != "hochschild":
         if name != "ext":
             raise InputError(f"{name} does not take --window")

@@ -47,7 +47,7 @@ class TraceFormLimitError(RefusedInput):
 
 
 class NotOrdinaryError(RefusedInput):
-    """A graded or dg algebra where an ordinary one is needed."""
+    """A graded or dg algebra or module where an ordinary one is needed."""
 
 
 class OrdinaryAlgebra:
@@ -113,6 +113,9 @@ class OrdinaryModule:
 
     @classmethod
     def from_curved(cls, A: OrdinaryAlgebra, M: CurvedModule, check=True):
+        if set(M.space.degrees) - {0} or any(M.diff.values()):
+            raise NotOrdinaryError("needs an ordinary module: one in "
+                                   "degree 0 with no differential")
         mats = [Matrix.from_columns(A.field, M.dim,
                                     [dict(M.action.get((i, j), {}))
                                      for j in range(M.dim)])

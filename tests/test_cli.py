@@ -378,6 +378,13 @@ def test_window_a_scenario_would_not_read_is_refused(argv, capsys):
     assert "--window" in out
 
 
+@pytest.mark.parametrize("scenario", ["verify", "morita", "simples"])
+def test_module_a_scenario_would_not_read_is_refused(scenario, capsys):
+    assert main([scenario, "--algebra", "mat2", "--module", "A"]) == 2
+    out = capsys.readouterr().out
+    assert out == f"error: {scenario} does not take --module\n", out
+
+
 @pytest.mark.parametrize("argv", [
     ["morita", "--algebra", "mat2", "--field", "F3"],
     ["koszul-check", "--algebra", "mat2", "--module", "A", "--field", "F3",

@@ -3,7 +3,9 @@
 It must be the complex of `hochschild_direct` (same basis, same
 differential, and that differential certified against the twisted bar),
 and `koszul-check` must read nothing else: no cup product, no
-`TruncatedTensorAlgebra`.
+`TruncatedTensorAlgebra`, and no word of length W.  It builds the
+cochains through word length W-1 only, and its H^0..H^{W-2} must still
+be those of `hochschild_direct` at the full truncation W.
 """
 
 import io
@@ -76,7 +78,7 @@ def _koszul_values(argv):
 
 
 @pytest.mark.parametrize("fname", sorted(FIELDS))
-@pytest.mark.parametrize("W", [5, 6])
+@pytest.mark.parametrize("W", [2, 3, 5, 6])
 def test_koszul_check_prints_the_cohomology_of_hochschild_direct(W, fname):
     ran = 0
     for an, mn, A, M in _pairs(FIELDS[fname]):
@@ -103,3 +105,18 @@ def test_koszul_check_builds_no_product(monkeypatch, capsys):
                  "Adual", "--field", "F7", "--truncation", "5"]) == 0
     out = capsys.readouterr().out
     assert "[ok ] H-equals-Ext.3" in out and "result: PASS" in out
+
+
+def test_koszul_check_builds_no_word_of_length_w(monkeypatch, capsys):
+    built = []
+
+    def record(*args, **kwargs):
+        H = hochschild_cochains(*args, **kwargs)
+        built.append(H.word_basis.W)
+        return H
+    monkeypatch.setattr("bardual.cli.hochschild_cochains", record)
+    for W in (2, 5):
+        assert main(["koszul-check", "--algebra", "upper_tri_2", "--module",
+                     "Adual", "--field", "F7", "--truncation", str(W)]) == 0
+    assert "result: PASS" in capsys.readouterr().out
+    assert built == [1, 4]      # words through length W-1 only

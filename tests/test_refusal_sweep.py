@@ -94,8 +94,49 @@ def test_non_ordinary_algebra_is_refused(scenario, capsys, monkeypatch):
     def no_build(*a, **k):
         raise AssertionError("built something for refused input")
     monkeypatch.setattr("bardual.cli.hochschild_cochains", no_build)
-    assert main([scenario, "--algebra", "acyclic2", "--module", "A",
-                 "--truncation", "3"]) == 2
+    rest = ([] if scenario in MODULE_FREE else
+            ["--module", "A", "--truncation", "3"])
+    assert main([scenario, "--algebra", "acyclic2"] + rest) == 2
     out = capsys.readouterr().out
     assert out.startswith("error: ") and out.count("\n") == 1, out
     assert "ordinary algebra" in out
+
+
+# a module over the dual numbers with a basis element outside degree 0:
+# acyclic through its differential (RHom(M, M) = 0), or graded with none
+GRADED_MODULE = """\
+field Q
+basis 1 0
+basis x 0
+unit 1
+mul 1 1 = 1*1
+mul 1 x = 1*x
+mul x 1 = 1*x
+mul x x = 0
+module m
+mbasis a {a}
+mbasis b {b}
+act 1 a = 1*a
+act 1 b = 1*b
+act x a = 0
+act x b = 0
+"""
+
+
+@pytest.mark.parametrize("scenario", ["koszul-check", "ext"])
+@pytest.mark.parametrize("text", [
+    GRADED_MODULE.format(a=-1, b=0) + "mdiff a = 1*b\n",
+    GRADED_MODULE.format(a=0, b=1),
+], ids=["acyclic-dg", "graded"])
+def test_non_ordinary_module_is_refused(scenario, text, tmp_path, capsys,
+                                        monkeypatch):
+    def no_build(*a, **k):
+        raise AssertionError("built something for refused input")
+    monkeypatch.setattr("bardual.cli.hochschild_cochains", no_build)
+    p = tmp_path / "m.alg"
+    p.write_text(text)
+    assert main([scenario, "--algebra", str(p), "--module", "m",
+                 "--truncation", "4"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1, out
+    assert "ordinary module" in out
