@@ -23,6 +23,7 @@ CASES = [
     ("upper_tri_2", "Adual"),
     ("upper_tri_2", "k"),
     ("kxk", "k"),
+    ("mat2", "A"),
 ]
 
 

@@ -80,41 +80,27 @@ def builtin_algebra(name: str, field=QQ) -> CurvedAlgebra:
                          f"choices: {sorted(BUILTIN_ALGEBRAS)}") from None
 
 
-def _one_dim_module(A: CurvedAlgebra, weights: dict) -> CurvedModule:
-    """k with a acting by the scalar weights.get(label, 0)."""
-    space = GradedVectorSpace({0: ["m"]})
-    action = {}
-    for i, (deg, lbl) in enumerate(A.basis):
-        c = weights.get(lbl)
-        if c:
-            action[(i, 0)] = {0: c}
-    return CurvedModule(A, space, action, {})
+# the one-dimensional module k of each algebra that has one: the basis
+# element that acts on it by 1, every other one acting by 0
+_K_LABEL = {"k": "1", "dual_numbers": "1", "kxk": "e2", "upper_tri_2": "e22"}
 
 
 def builtin_module(A: CurvedAlgebra, alg_name: str,
                    mod_name: str) -> CurvedModule:
-    one = A.field.one
     if mod_name == "A":
         return regular_module(A)
     if mod_name == "Adual":
         return dual_regular_module(A)
     if mod_name == "k":
-        if alg_name == "k":
-            return _one_dim_module(A, {"1": one})
-        if alg_name == "dual_numbers":
-            return _one_dim_module(A, {"1": one})
-        if alg_name == "kxk":
-            # projection onto the second factor (complementary to the
-            # block the fake augmentation keeps)
-            return _one_dim_module(A, {"e2": one})
-        if alg_name == "upper_tri_2":
-            return _one_dim_module(A, {"e22": one})
-        raise ValueError(f"{alg_name} has no one-dimensional dg module")
+        if alg_name not in _K_LABEL:
+            raise ValueError(f"{alg_name} has no one-dimensional dg module")
+        e = A.idx(0, _K_LABEL[alg_name])
+        return CurvedModule(A, GradedVectorSpace({0: ["m"]}),
+                            {(e, 0): {0: A.field.one}}, {})
     raise ValueError(f"unknown builtin module {mod_name!r}; "
                      f"choices: k, A, Adual")
 
 
 def default_module_name(alg_name: str) -> str:
     """The canonical coefficient module used by CLI scenarios."""
-    return "k" if alg_name in ("k", "dual_numbers", "kxk",
-                               "upper_tri_2") else "A"
+    return "k" if alg_name in _K_LABEL else "A"

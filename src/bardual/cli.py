@@ -21,10 +21,11 @@ Machine reports are flat "key = value" lines, deterministic byte-for-byte
 for identical inputs (timings go to stdout only, never into the report).
 Exit status is 1 when any check fails or none ran, and 2 (with a one-line
 `error:` message) when the input cannot be parsed or resolved: a bad
-field, an unreadable file, an unknown module or one the algebra lacks, an
-algebra or module a method refuses (`morita.RefusedInput`), a `--module`
-or `--window` the scenario would not read, or a koszul-check truncation
-below 2, at which no degree can be compared.
+field, `--field` with a file algebra (the file fixes its own field), an
+unreadable file, an unknown module or one the algebra lacks, an algebra or
+module a method refuses (`morita.RefusedInput`), an option the scenario
+would not read (`SCENARIOS` lists the ones each reads), or a koszul-check
+truncation below 2, at which no degree can be compared.
 """
 
 from __future__ import annotations
@@ -357,7 +358,8 @@ def _load(args):
             raise InputError(f"{name!r} is neither a builtin algebra nor a "
                              f"readable file: {e.strerror}") from None
         if args.field:
-            sys.stderr.write("note: --field ignored for file algebras\n")
+            raise InputError(f"{name!r} fixes its own field in its 'field' "
+                             "line: drop --field")
     return A, modules, name, digest
 
 
@@ -404,7 +406,6 @@ def _report_rows(rep: ScenarioReport, args):
 
 def scenario_verify(args) -> ScenarioReport:
     rep = ScenarioReport("verify")
-    t0 = time.monotonic()
     try:
         A, modules, name, digest = _load(args)
     except ValidationError as e:
@@ -422,13 +423,11 @@ def scenario_verify(args) -> ScenarioReport:
     coh = cohomology(A.as_complex())
     for n in sorted(coh):
         rep.value(f"betti.{n}", coh[n].betti)
-    rep.timings["total"] = time.monotonic() - t0
     return rep
 
 
 def scenario_hochschild(args) -> ScenarioReport:
     rep = ScenarioReport("hochschild")
-    t0 = time.monotonic()
     A, modules, name, digest = _load(args)
     M, mname = _coefficient_module(A, modules, name, args.module)
     W = args.truncation
@@ -447,13 +446,11 @@ def scenario_hochschild(args) -> ScenarioReport:
     coh = cohomology(E1.as_complex(), (lo, hi))
     for n in sorted(coh):
         rep.value(f"H.{n}", coh[n].betti)
-    rep.timings["total"] = time.monotonic() - t0
     return rep
 
 
 def scenario_koszul_check(args) -> ScenarioReport:
     rep = ScenarioReport("koszul-check")
-    t0 = time.monotonic()
     W = args.truncation
     if W < 2:
         raise InputError(f"koszul-check compares degrees 0..W-2, none at "
@@ -479,13 +476,11 @@ def scenario_koszul_check(args) -> ScenarioReport:
         rep.check(f"H-equals-Ext.{n}", h == e, f"H={h} Ext={e}")
         rep.value(f"H.{n}", h)
         rep.value(f"Ext.{n}", e)
-    rep.timings["total"] = time.monotonic() - t0
     return rep
 
 
 def scenario_morita(args) -> ScenarioReport:
     rep = ScenarioReport("morita")
-    t0 = time.monotonic()
     A, modules, name, digest = _load(args)
     rep.inputs.update(algebra=name, digest=digest, field=A.field.name)
     Ao = OrdinaryAlgebra(A)
@@ -508,13 +503,11 @@ def scenario_morita(args) -> ScenarioReport:
         rep.check(f"double-dual-iso.random{rng_count}", iso,
                   f"seed={seed + tries - 1} dim={N.dim}")
         rng_count += 1
-    rep.timings["total"] = time.monotonic() - t0
     return rep
 
 
 def scenario_simples(args) -> ScenarioReport:
     rep = ScenarioReport("simples")
-    t0 = time.monotonic()
     A, modules, name, digest = _load(args)
     rep.inputs.update(algebra=name, digest=digest, field=A.field.name)
     Ao = OrdinaryAlgebra(A)
@@ -536,59 +529,61 @@ def scenario_simples(args) -> ScenarioReport:
         rep.check("split", True)
     rad = radical(Ao)
     rep.value("radical.dim", len(rad))
-    rep.timings["total"] = time.monotonic() - t0
     return rep
 
 
 def scenario_ext(args) -> ScenarioReport:
     rep = ScenarioReport("ext")
-    t0 = time.monotonic()
     A, modules, name, digest = _load(args)
     Ao = OrdinaryAlgebra(A)
     M, mname = _pick_module(A, modules, name, args.module)
     rep.inputs.update(algebra=name, digest=digest, module=mname,
                       field=A.field.name)
-    n_max = args.window[1] if args.window else args.truncation
     Mo = OrdinaryModule.from_curved(Ao, M)
-    dims = ext_oracle(Ao, Mo, Mo, n_max)
+    dims = ext_oracle(Ao, Mo, Mo, args.truncation)
     for n, d in enumerate(dims):
         rep.value(f"Ext.{n}", d)
     rep.check("computed", True)
-    rep.timings["total"] = time.monotonic() - t0
     return rep
 
 
+# name: (function, {option it reads: default}, needs an ordinary algebra).
+# A module or window default of None means the scenario's own choice.
 SCENARIOS = {
-    "verify": scenario_verify,
-    "hochschild": scenario_hochschild,
-    "koszul-check": scenario_koszul_check,
-    "morita": scenario_morita,
-    "simples": scenario_simples,
-    "ext": scenario_ext,
+    "verify": (scenario_verify, {}, False),
+    "hochschild": (scenario_hochschild,
+                   {"module": None, "truncation": 4, "window": None}, False),
+    "koszul-check": (scenario_koszul_check,
+                     {"module": None, "truncation": 4}, True),
+    "morita": (scenario_morita, {"seed": 0}, True),
+    "simples": (scenario_simples, {}, True),
+    "ext": (scenario_ext, {"module": None, "truncation": 4}, True),
 }
+OPTIONS = sorted({opt for _, reads, _ in SCENARIOS.values() for opt in reads})
 
 
 def run_scenario(name: str, args) -> ScenarioReport:
     try:
-        fn = SCENARIOS[name]
+        fn, reads, _ = SCENARIOS[name]
     except KeyError:
         raise SystemExit(f"unknown scenario {name!r}; "
                          f"choices: {sorted(SCENARIOS)}") from None
-    # a module or a window the scenario would not read is refused, not
-    # ignored: hochschild reads both ends of a window, ext only the upper
-    if args.module is not None and name in ("verify", "morita", "simples"):
-        raise InputError(f"{name} does not take --module")
-    if args.window is not None and name != "hochschild":
-        if name != "ext":
-            raise InputError(f"{name} does not take --window")
-        if args.window[0] != 0:
-            raise InputError("ext computes Ext^0..Ext^b: --window must be 0:b")
+    # an option the scenario would not read is refused, not ignored
+    for opt in OPTIONS:
+        if opt not in reads:
+            if getattr(args, opt) is not None:
+                raise InputError(f"{name} does not take --{opt}")
+        elif getattr(args, opt) is None:
+            setattr(args, opt, reads[opt])
+    t0 = time.monotonic()
     try:
-        return fn(args)
+        rep = fn(args)
     except RefusedInput as e:
         # a non-ordinary or non-split algebra, or a characteristic below
         # the trace-form limit: input a method refuses, not a failed check
         raise InputError(str(e)) from None
+    rep.timings["total"] = time.monotonic() - t0
+    return rep
 
 
 def _window(text):
@@ -617,11 +612,12 @@ def main(argv=None) -> int:
                          f"(builtins: {', '.join(sorted(BUILTIN_ALGEBRAS))})")
     ap.add_argument("--module", default=None,
                     help="builtin module (k, A, Adual) or file module name")
-    ap.add_argument("--truncation", type=_truncation, default=4, metavar="W")
+    ap.add_argument("--truncation", type=_truncation, default=None,
+                    metavar="W")
     ap.add_argument("--window", type=_window, default=None, metavar="a:b")
     ap.add_argument("--field", default=None, help="Q or F<p> (builtins only)")
     ap.add_argument("--report", default=None, metavar="PATH")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=None)
     args = ap.parse_args(argv)
 
     try:

@@ -301,9 +301,12 @@ SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "scripts" / \
     ["hochschild", "--algebra", "mat2", "--module", "nosuch"],
     ["hochschild", "--algebra", str(SAMPLES / "acyclic2.alg"),
      "--module", "nosuch"],
+    ["verify", "--algebra", str(SAMPLES / "upper_tri_3.alg"), "--field",
+     "F7"],
+    ["verify", "--algebra", "mat2", "--truncation", "9", "--seed", "3"],
 ], ids=["F2", "F9", "unknown-field", "missing-file", "unreadable-file",
         "module-the-algebra-lacks", "unknown-builtin-module",
-        "unknown-file-module"])
+        "unknown-file-module", "field-of-a-file-algebra", "unread-options"])
 def test_bad_input_is_one_line_with_exit_2(argv, capsys):
     assert main(argv) == 2
     out = capsys.readouterr().out

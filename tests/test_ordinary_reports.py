@@ -1,45 +1,60 @@
 """Golden `--report` files for the ordinary-algebra scenarios over Q, F_5
 and F_7.
 
-`simples` and `morita --seed 1` run on the five ordinary builtins over
-F_5 and F_7 (over Q they are pinned by `test_reports.py`), and
+`simples` and `morita --seed 1` run on the ordinary builtins over F_5
+and F_7 (over Q they are pinned by `test_reports.py`), and
 `ext --truncation 3` with the modules k, A and Adual over Q, F_5 and F_7.
 The sample file `upper_tri_3.alg` fixes its own field and runs once per
-scenario, `ext` with A and Adual.  mat2 with k is not pinned: `ext`
-refuses it with exit 2, which `test_refusal_sweep.py` covers.  Each run
-must write a report byte-identical to
-`tests/expected_ordinary_reports/<name>.report`.
+scenario, `ext` with A and Adual.  A module `builtin_module` refuses (k
+over mat2) is not pinned: `ext` refuses it with exit 2, which
+`test_refusal_sweep.py` covers.  Each run must write a report
+byte-identical to `tests/expected_ordinary_reports/<name>.report`.
 """
 
 import pathlib
 
 import pytest
 
+from bardual.catalog import BUILTIN_ALGEBRAS, builtin_algebra, builtin_module
 from bardual.cli import main
+from bardual.morita import OrdinaryAlgebra, RefusedInput
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 EXPECTED = ROOT / "tests" / "expected_ordinary_reports"
-ORDINARY = ("k", "kxk", "dual_numbers", "upper_tri_2", "mat2")
 # relative, because the report records the path; the runs start in ROOT
 UPPER_TRI_3 = "scripts/sample_algebras/upper_tri_3.alg"
+
+
+def is_ordinary(alg):
+    try:
+        OrdinaryAlgebra(builtin_algebra(alg))
+    except RefusedInput:
+        return False
+    return True
+
+
+def has_module(alg, mod):
+    try:
+        builtin_module(builtin_algebra(alg), alg, mod)
+    except ValueError:
+        return False
+    return True
 
 
 def ordinary_runs():
     """(report name, CLI arguments) for every pinned run."""
     runs = []
-    for alg in ORDINARY:
+    for alg in filter(is_ordinary, sorted(BUILTIN_ALGEBRAS)):
         for fld in ("F5", "F7"):
             base = ["--algebra", alg, "--field", fld]
             runs.append((f"simples-{alg}-{fld}", ["simples"] + base))
             runs.append((f"morita-{alg}-{fld}",
                          ["morita"] + base + ["--seed", "1"]))
         for fld in ("Q", "F5", "F7"):
-            for mod in ("k", "A", "Adual"):
-                if (alg, mod) == ("mat2", "k"):
-                    continue
-                runs.append((f"ext-{alg}-{fld}-{mod}",
-                             ["ext", "--algebra", alg, "--field", fld,
-                              "--module", mod, "--truncation", "3"]))
+            runs += [(f"ext-{alg}-{fld}-{mod}",
+                      ["ext", "--algebra", alg, "--field", fld,
+                       "--module", mod, "--truncation", "3"])
+                     for mod in ("k", "A", "Adual") if has_module(alg, mod)]
     base = ["--algebra", UPPER_TRI_3]
     runs.append(("simples-upper_tri_3", ["simples"] + base))
     runs.append(("morita-upper_tri_3", ["morita"] + base + ["--seed", "1"]))

@@ -3,8 +3,8 @@
 The grid is every scenario over the builtin algebras, the sample algebra
 files and a quaternion algebra (not split over Q), over Q, F_3 and F_7,
 with the modules k, A and Adual and truncations 0 and 2.  A run counts
-once per distinct input: `verify`, `morita` and `simples` read neither
---module nor --truncation, and a file algebra fixes its own field.  File
+once per distinct input: each scenario gets only the options
+`cli.SCENARIOS` says it reads, and a file algebra fixes its own field.  File
 algebras run at truncation 0 only: past it they add no refusal path, only
 the builtins' computations on a larger algebra (`ext` on upper_tri_3
 with Adual at W = 2 takes about 0.16 s of CLI wall time, half of it
@@ -19,7 +19,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from bardual.catalog import BUILTIN_ALGEBRAS
-from bardual.cli import SCENARIOS, main
+from bardual.cli import OPTIONS, SCENARIOS, main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SAMPLES = sorted((ROOT / "scripts" / "sample_algebras").glob("*.alg"))
@@ -40,22 +40,24 @@ mul k j = -1*i
 mul k i = 1*j
 mul i k = -1*j
 """
-MODULE_FREE = ("verify", "morita", "simples")
+# a value for each of cli.OPTIONS, the options some scenario reads
+GIVEN = {"module": "A", "truncation": "3", "window": "0:1", "seed": "3"}
 
 
 def sweep_runs(files):
     runs = []
-    for scenario in sorted(SCENARIOS):
+    for scenario, (_, reads, _) in sorted(SCENARIOS.items()):
         for algebra in sorted(BUILTIN_ALGEBRAS) + files:
+            builtin = algebra in BUILTIN_ALGEBRAS
             fields = ([["--field", f] for f in ("Q", "F3", "F7")]
-                      if algebra in BUILTIN_ALGEBRAS else [[]])
-            truncations = (("0", "2") if algebra in BUILTIN_ALGEBRAS
-                           else ("0",))
-            rest = ([[]] if scenario in MODULE_FREE else
-                    [["--module", m, "--truncation", W]
-                     for m in ("k", "A", "Adual") for W in truncations])
-            runs += [[scenario, "--algebra", algebra] + f + r
-                     for f in fields for r in rest]
+                      if builtin else [[]])
+            modules = ([["--module", m] for m in ("k", "A", "Adual")]
+                       if "module" in reads else [[]])
+            truncations = ([["--truncation", W]
+                            for W in (("0", "2") if builtin else ("0",))]
+                           if "truncation" in reads else [[]])
+            runs += [[scenario, "--algebra", algebra] + f + m + t
+                     for f in fields for m in modules for t in truncations]
     return runs
 
 
@@ -88,14 +90,30 @@ def test_every_run_passes_fails_a_named_check_or_is_refused(tmp_path):
     assert not bad, f"{len(bad)} runs: {bad[:3]}"
 
 
-@pytest.mark.parametrize("scenario", ["koszul-check", "morita", "simples",
-                                      "ext"])
+@pytest.mark.parametrize("scenario,opt", [
+    (scenario, opt) for scenario, (_, reads, _) in SCENARIOS.items()
+    for opt in OPTIONS if opt not in reads])
+def test_an_option_the_scenario_would_not_read_is_refused(scenario, opt,
+                                                          capsys,
+                                                          monkeypatch):
+    def no_load(*a, **k):
+        raise AssertionError("loaded an algebra for refused input")
+    monkeypatch.setattr("bardual.cli._load", no_load)
+    assert main([scenario, "--algebra", "mat2",
+                 f"--{opt}", GIVEN[opt]]) == 2
+    out = capsys.readouterr().out
+    assert out == f"error: {scenario} does not take --{opt}\n", out
+
+
+@pytest.mark.parametrize("scenario", [
+    scenario for scenario, (_, _, ordinary) in SCENARIOS.items()
+    if ordinary])
 def test_non_ordinary_algebra_is_refused(scenario, capsys, monkeypatch):
     def no_build(*a, **k):
         raise AssertionError("built something for refused input")
     monkeypatch.setattr("bardual.cli.hochschild_cochains", no_build)
-    rest = ([] if scenario in MODULE_FREE else
-            ["--module", "A", "--truncation", "3"])
+    rest = [arg for opt in SCENARIOS[scenario][1]
+            for arg in (f"--{opt}", GIVEN[opt])]
     assert main([scenario, "--algebra", "acyclic2"] + rest) == 2
     out = capsys.readouterr().out
     assert out.startswith("error: ") and out.count("\n") == 1, out

@@ -29,7 +29,7 @@ RUNS = _sweep_runs()
 
 def test_sweep_has_every_golden_report():
     names = {f"{argv[0]}-{argv[2]}.report" for argv in RUNS}
-    assert len(RUNS) == 26
+    assert len(RUNS) == 27
     assert names == {p.name for p in EXPECTED.glob("*.report")}
 
 
